@@ -14,13 +14,17 @@
 //	gfddiscover -in graph.gfds -workers 4 -fragdir /tmp/frags
 //
 // With -serve the parallel run becomes distributed: every worker except
-// worker 0 is an in-process fragment server dialed over loopback TCP,
-// and -fault injects deterministic transport faults — the mining output
-// must stay identical, absorbed by the deadline/retry/failover
-// machinery.
+// worker 0 is an in-process fragment server that announces itself to a
+// loopback registry and is dialed over loopback TCP — the -cluster run
+// path with its members started in-process. -fault injects deterministic
+// transport faults, and -die-after/-restart-after kill the servers
+// mid-mine and bring them back; the mining output must stay identical,
+// absorbed by the deadline/retry/failover machinery and the rejoin at a
+// superstep boundary.
 //
 //	gfddiscover -in graph.gfds -workers 4 -fragdir /tmp/frags -serve
 //	gfddiscover -in graph.gfds -workers 4 -fragdir /tmp/frags -serve -fault drop=0.05,seed=1
+//	gfddiscover -in graph.gfds -workers 3 -fragdir /tmp/frags -serve -die-after 40 -restart-after 200ms
 //
 // With -cluster the coordinator serves a membership registry instead of
 // being handed addresses: external gfdfrag -announce servers register
@@ -76,8 +80,7 @@ func run() int {
 	hedgeAfter := flag.Duration("hedge-after", 0, "with -cluster: race remote join shares outstanding past this delay against the local spill replica")
 	healthInterval := flag.Duration("health-interval", time.Second, "with -cluster: heartbeat cadence of the member health monitor")
 	dieAfter := flag.Int("die-after", 0, "with -serve: kill every in-process fragment server after serving this many frames (forces failover)")
-	restartAfter := flag.Duration("restart-after", 0, "with -serve and -die-after: resurrect dead servers on their original address after this delay")
-	failback := flag.Duration("failback", 0, "with -serve/-cluster: failed-over fragments probe their server at this interval and rejoin on recovery")
+	restartAfter := flag.Duration("restart-after", 0, "with -serve and -die-after: resurrect dead servers on their original address after this delay; they re-announce and rejoin at the next superstep boundary")
 	negatives := flag.Int("negatives", 50, "max negative GFDs to mine (-1 disables)")
 	showAll := flag.Bool("all", false, "print the full mined set, not just the cover")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -135,12 +138,11 @@ func run() int {
 			return 2
 		}
 		crt := gfdlib.ClusterRuntime{
-			Addr:             *clusterAddr,
-			WaitTimeout:      *clusterWait,
-			HedgeAfter:       *hedgeAfter,
-			HealthInterval:   *healthInterval,
-			FailbackInterval: *failback,
-			DebugAddr:        *debugAddr,
+			Addr:           *clusterAddr,
+			WaitTimeout:    *clusterWait,
+			HedgeAfter:     *hedgeAfter,
+			HealthInterval: *healthInterval,
+			DebugAddr:      *debugAddr,
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "gfddiscover: "+format+"\n", args...)
 			},
@@ -152,10 +154,6 @@ func run() int {
 		}
 		fmt.Printf("cluster run: %d/%d members at epoch %d, %d adoptions (%d wire bytes measured)\n",
 			report.Members, *workers-1, report.Epoch, report.Adoptions, report.MeasuredBytes)
-		if report.FailedOver > 0 || report.Rejoined > 0 {
-			fmt.Printf("recovery: %d fragments failed over, %d rejoined their server\n",
-				report.FailedOver, report.Rejoined)
-		}
 	} else if *serve {
 		if *fragDir == "" || *workers < 2 {
 			fmt.Fprintln(os.Stderr, "gfddiscover: -serve requires -fragdir and -workers >= 2")
@@ -167,10 +165,9 @@ func run() int {
 			return 2
 		}
 		rt := gfdlib.RemoteRuntime{
-			Fault:            fault,
-			DieAfter:         *dieAfter,
-			RestartAfter:     *restartAfter,
-			FailbackInterval: *failback,
+			Fault:        fault,
+			DieAfter:     *dieAfter,
+			RestartAfter: *restartAfter,
 		}
 		report, err = gfdlib.DiscoverRemote(g, opts, *workers, *fragDir, rt)
 		if err != nil {
@@ -179,10 +176,6 @@ func run() int {
 		}
 		fmt.Printf("distributed run: worker 0 local, workers 1..%d remote (%d wire bytes measured)\n",
 			*workers-1, report.MeasuredBytes)
-		if report.FailedOver > 0 || report.Rejoined > 0 {
-			fmt.Printf("recovery: %d fragments failed over, %d rejoined their server\n",
-				report.FailedOver, report.Rejoined)
-		}
 	} else if *fragDir != "" {
 		if *workers < 1 {
 			fmt.Fprintln(os.Stderr, "gfddiscover: -fragdir requires -workers >= 1")
@@ -203,6 +196,10 @@ func run() int {
 	if report.SimulatedTime > 0 {
 		fmt.Printf("simulated parallel response time (n=%d): %v\n", *workers, report.SimulatedTime.Round(time.Microsecond))
 		fmt.Printf("fragment-local CSR views (edges per worker): %v\n", report.FragmentEdges)
+	}
+	if report.FailedOver > 0 || report.Rejoined > 0 {
+		fmt.Printf("recovery: %d fragments failed over, %d rejoined their server\n",
+			report.FailedOver, report.Rejoined)
 	}
 	if report.StealChunks > 0 || report.HedgesFired > 0 {
 		fmt.Printf("work: %d steal chunks, %d hedged reads fired (%d won by the local replica)\n",

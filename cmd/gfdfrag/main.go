@@ -15,8 +15,8 @@
 //	gfdfrag -frag frag-0.gfds -listen 127.0.0.1:0            # prints the bound port
 //	gfdfrag -frag frag-2.gfds -listen :7702 -fault drop=0.05,seed=1
 //	gfdfrag -frag frag-1.gfds -listen :7701 -die-after 100   # crash-test the coordinator
-//	gfdfrag -frag frag-1.gfds -listen :7701 -die-after 100 -resurrect-after 500ms
 //	gfdfrag -frag frag-1.gfds -listen :7701 -announce 127.0.0.1:7700
+//	gfdfrag -frag frag-1.gfds -listen :7701 -announce 127.0.0.1:7700 -die-after 100 -resurrect-after 500ms
 //
 // With -announce the server registers itself with a coordinator's
 // membership registry (gfddiscover -cluster) once it is listening: the
@@ -25,18 +25,20 @@
 // routes that slot's join shares to this server — including mid-run,
 // if the coordinator was already mining the slot from its spill file.
 // The announce retries with backoff, so starting servers before the
-// coordinator is fine. With -resurrect-after, the recovered incarnation
-// re-announces.
+// coordinator is fine.
 //
 // With -resurrect-after the -die-after crash does not exit the process:
 // the server drops every connection and its listener (the coordinator
-// sees exactly a worker loss), then rebinds the same address after the
-// delay and serves again — this time without the death trap — so a
-// failback-enabled coordinator rejoins it mid-run.
+// sees exactly a worker loss and fails over to the spill file), then
+// rebinds the same address after the delay and serves again — this time
+// without the death trap. With -announce the recovered incarnation
+// re-announces, and the coordinator adopts it at the next superstep
+// boundary: re-announcing is the only way back from a failover.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -125,29 +127,7 @@ func run() int {
 		}
 	}
 
-	if *resurrectAfter > 0 {
-		if err := serveResurrecting(*frag, *listen, opts, *resurrectAfter, *announce); err != nil {
-			fmt.Fprintf(os.Stderr, "gfdfrag: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-
-	ready := make(chan net.Addr, 1)
-	go func() {
-		addr := <-ready
-		// The bound address is the first stdout line — coordinators and
-		// tests parse it, which is what makes -listen :0 usable.
-		fmt.Printf("listening %s\n", addr)
-		tracer.Event("serve", "addr", addr.String())
-		tracer.Flush()
-		if *announce != "" {
-			if err := announceTo(*announce, *frag, addr.String()); err != nil {
-				fmt.Fprintf(os.Stderr, "gfdfrag: announce: %v\n", err)
-			}
-		}
-	}()
-	if err := remote.ListenAndServe(*frag, *listen, opts, ready); err != nil {
+	if err := serve(*frag, *listen, opts, *resurrectAfter, *announce); err != nil {
 		fmt.Fprintf(os.Stderr, "gfdfrag: %v\n", err)
 		return 1
 	}
@@ -155,52 +135,35 @@ func run() int {
 }
 
 // announceTo registers the served fragment with a coordinator's
-// membership registry. The fragment file is mapped a second time just
-// to read its identity — cheap (mmap, no copy) and independent of the
-// serving mapping's lifecycle. Retries cover the usual race of fragment
-// servers starting before the coordinator's registry is up.
-func announceTo(registry, fragPath, addr string) error {
-	m, err := store.Open(fragPath)
-	if err != nil {
-		return err
-	}
-	defer m.Close()
-	fi, has := m.Fragment()
-	if !has {
-		return fmt.Errorf("%s carries no fragment metadata (not a frag-N.gfds spill file?)", fragPath)
-	}
-	info := remote.AnnounceInfo{
-		Worker:      fi.Worker,
-		Addr:        addr,
-		NodeLo:      fi.NodeLo,
-		NodeHi:      fi.NodeHi,
-		NumEdges:    m.NumEdges(),
-		Fingerprint: remote.Fingerprint(m),
-	}
+// membership registry. Retries cover the usual race of fragment servers
+// starting before the coordinator's registry is up.
+func announceTo(registry string, info remote.AnnounceInfo) {
 	epoch, err := remote.Announce(context.Background(), registry, info, remote.Options{
 		Backoff: remote.Backoff{Base: 50 * time.Millisecond, Max: 2 * time.Second, Factor: 2, Jitter: 0.5, Attempts: 30},
 	})
 	if err != nil {
-		return err
+		fmt.Fprintf(os.Stderr, "gfdfrag: announce: %v\n", err)
+		return
 	}
-	fmt.Fprintf(os.Stderr, "gfdfrag: announced worker %d at %s to %s (epoch %d)\n", fi.Worker, addr, registry, epoch)
-	tracer.Event("announce", "worker", fmt.Sprint(fi.Worker), "addr", addr, "epoch", fmt.Sprint(epoch))
+	fmt.Fprintf(os.Stderr, "gfdfrag: announced worker %d at %s to %s (epoch %d)\n", info.Worker, info.Addr, registry, epoch)
+	tracer.Event("announce", "worker", fmt.Sprint(info.Worker), "addr", info.Addr, "epoch", fmt.Sprint(epoch))
 	tracer.Flush()
-	return nil
 }
 
-// serveResurrecting runs the die-once-then-recover lifecycle in one
-// process: serve with the death trap armed, and when DieAfter fires
-// (Serve returns after the abrupt connection drop), rebind the same
-// bound address after the delay and serve the same mapping indefinitely.
-func serveResurrecting(fragPath, listen string, opts remote.ServerOptions, delay time.Duration, announce string) error {
+// serve runs the server's lifecycle: map the fragment, listen, announce
+// (with a registry address) and serve. With -resurrect-after, a
+// -die-after crash (Serve returns after the abrupt connection drop) is
+// followed by a rebind of the same bound address after the delay, and
+// the same mapping is served indefinitely.
+func serve(fragPath, listen string, opts remote.ServerOptions, delay time.Duration, announce string) error {
 	m, err := store.Open(fragPath)
 	if err != nil {
 		return err
 	}
 	defer m.Close()
-	if _, has := m.Fragment(); !has {
-		return fmt.Errorf("%s carries no fragment metadata (not a frag-N.gfds spill file?)", fragPath)
+	info, err := remote.FragmentAnnounceInfo(m, "")
+	if err != nil {
+		return fmt.Errorf("%s: %w", fragPath, err)
 	}
 	s, err := remote.NewServer(m, opts)
 	if err != nil {
@@ -210,22 +173,23 @@ func serveResurrecting(fragPath, listen string, opts remote.ServerOptions, delay
 	if err != nil {
 		return err
 	}
-	addr := l.Addr().String()
-	fmt.Printf("listening %s\n", addr)
-	tracer.Event("serve", "addr", addr)
+	info.Addr = l.Addr().String()
+	// The bound address is the first stdout line — coordinators and tests
+	// parse it, which is what makes -listen :0 usable.
+	fmt.Printf("listening %s\n", info.Addr)
+	tracer.Event("serve", "addr", info.Addr)
 	tracer.Flush()
 	if announce != "" {
-		go func() {
-			if err := announceTo(announce, fragPath, addr); err != nil {
-				fmt.Fprintf(os.Stderr, "gfdfrag: announce: %v\n", err)
-			}
-		}()
+		go announceTo(announce, info)
 	}
-	s.Serve(l)
-	if opts.DieAfter <= 0 {
-		return nil // external Close: a clean shutdown, nothing to resurrect
+	err = s.Serve(l)
+	if opts.DieAfter <= 0 || delay <= 0 {
+		if errors.Is(err, net.ErrClosed) {
+			err = nil
+		}
+		return err
 	}
-	fmt.Fprintf(os.Stderr, "gfdfrag: died after %d frames; resurrecting on %s in %s\n", opts.DieAfter, addr, delay)
+	fmt.Fprintf(os.Stderr, "gfdfrag: died after %d frames; resurrecting on %s in %s\n", opts.DieAfter, info.Addr, delay)
 	tracer.Event("die", "frames", fmt.Sprint(opts.DieAfter))
 	tracer.Flush()
 	time.Sleep(delay)
@@ -234,23 +198,19 @@ func serveResurrecting(fragPath, listen string, opts remote.ServerOptions, delay
 	if err != nil {
 		return err
 	}
-	l2, err := net.Listen("tcp", addr)
+	l2, err := net.Listen("tcp", info.Addr)
 	if err != nil {
-		return fmt.Errorf("rebinding %s: %w", addr, err)
+		return fmt.Errorf("rebinding %s: %w", info.Addr, err)
 	}
-	fmt.Printf("resurrected %s\n", addr)
-	tracer.Event("resurrect", "addr", addr)
+	fmt.Printf("resurrected %s\n", info.Addr)
+	tracer.Event("resurrect", "addr", info.Addr)
 	tracer.Flush()
 	if announce != "" {
-		// Re-announce: the coordinator's monitor has likely declared this
-		// worker dead and dropped it from the map; a fresh announcement
-		// lets the balancer adopt the recovered server at the next
-		// superstep boundary even without client-side failback probing.
-		go func() {
-			if err := announceTo(announce, fragPath, addr); err != nil {
-				fmt.Fprintf(os.Stderr, "gfdfrag: announce: %v\n", err)
-			}
-		}()
+		// Re-announce: the coordinator has failed this worker over to its
+		// spill file (and its monitor may have dropped it from the map); a
+		// fresh announcement lets the balancer adopt the recovered server
+		// at the next superstep boundary.
+		go announceTo(announce, info)
 	}
 	return s2.Serve(l2)
 }

@@ -311,18 +311,6 @@ func MicroSpecs() []MicroSpec {
 				}
 			}
 		}},
-		{"ExtendRows/skew-ref", func(b *testing.B) {
-			// The pre-batching row-at-a-time reference on the same shape —
-			// the ablation baseline the batched kernel is measured against.
-			g, t1, child := skewWorkload()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if match.ExtendRowsRef(g, t1, child).Len() == 0 {
-					b.Fatal("empty skew extension")
-				}
-			}
-		}},
 		{"TableSupport", func(b *testing.B) {
 			e := microWorkload()
 			t2 := e.t2
@@ -426,15 +414,6 @@ func MicroSpecs() []MicroSpec {
 		{"Enumerate/selectivity-order", func(b *testing.B) {
 			e := microWorkload()
 			pl := match.Compile(e.g, e.child)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pl.CountMatches(0)
-			}
-		}},
-		{"Enumerate/static-order", func(b *testing.B) {
-			e := microWorkload()
-			pl := match.CompileStatic(e.g, e.child)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -71,8 +71,8 @@ type Report struct {
 	// connections (zero unless the run used the distributed runtime).
 	MeasuredBytes int64
 	// FailedOver and Rejoined count remote fragments that ended the run
-	// serving from their spill attach, and fragments that failed back to
-	// a recovered server at least once (distributed runs only).
+	// serving from their spill attach, and fragments that went back to a
+	// re-announced server at least once (distributed runs only).
 	FailedOver, Rejoined int
 	// HedgesFired and HedgesWon count hedged replica reads: join shares
 	// recomputed locally when the wire ran past the hedge delay, and how
@@ -121,13 +121,9 @@ func Discover(v graph.View, opts discovery.Options, workers int) *Report {
 	return rep
 }
 
-// DiscoverSpilled runs the parallel pipeline through the persistent
-// fragment path: v is vertex-cut, every fragment (and the whole graph)
-// is spilled to dir as a snapshot, the directory is re-attached, and
-// ParDis workers join against the mmap-backed fragment views. The
-// attached mappings stay live for the process: the report's mined GFDs
-// hold strings that alias them.
-func DiscoverSpilled(v graph.View, opts discovery.Options, workers int, dir string) (*Report, error) {
+// spillAndAttach vertex-cuts v into workers fragments, spills them to dir
+// and re-attaches the directory.
+func spillAndAttach(v graph.View, workers int, dir string) (*parallel.Attached, error) {
 	src, ok := v.(store.Source)
 	if !ok {
 		return nil, fmt.Errorf("cli: %T is not serialisable as a snapshot", v)
@@ -142,6 +138,20 @@ func DiscoverSpilled(v graph.View, opts discovery.Options, workers int, dir stri
 	if att.Workers() != workers {
 		att.Close()
 		return nil, fmt.Errorf("cli: %s holds %d fragments, want %d", dir, att.Workers(), workers)
+	}
+	return att, nil
+}
+
+// DiscoverSpilled runs the parallel pipeline through the persistent
+// fragment path: v is vertex-cut, every fragment (and the whole graph)
+// is spilled to dir as a snapshot, the directory is re-attached, and
+// ParDis workers join against the mmap-backed fragment views. The
+// attached mappings stay live for the process: the report's mined GFDs
+// hold strings that alias them.
+func DiscoverSpilled(v graph.View, opts discovery.Options, workers int, dir string) (*Report, error) {
+	att, err := spillAndAttach(v, workers, dir)
+	if err != nil {
+		return nil, err
 	}
 	steal0 := stealChunkTotal()
 	eng := cluster.New(cluster.Config{Workers: workers, Obs: obs.Default, Trace: opts.Trace})

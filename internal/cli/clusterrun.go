@@ -13,7 +13,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/remote"
-	"repro/internal/store"
 )
 
 // ClusterRuntime configures DiscoverCluster: a coordinator that serves a
@@ -40,9 +39,6 @@ type ClusterRuntime struct {
 	HealthInterval time.Duration
 	// Health tunes the per-member state machine (zero values = defaults).
 	Health cluster.HealthConfig
-	// FailbackInterval, when positive, lets failed-over fragments probe
-	// their server and rejoin it mid-run.
-	FailbackInterval time.Duration
 	// DebugAddr, when non-empty, serves the live introspection endpoint
 	// (/metrics, /cluster, /debug/pprof) on this address for the whole
 	// run — it comes up before the member wait so the cluster is
@@ -71,7 +67,7 @@ func (crt ClusterRuntime) withDefaults(workers int) ClusterRuntime {
 // valid cut of v for this worker count. Reuse matters: externally
 // started gfdfrag servers have dir's frag-N.gfds files mmapped, and
 // rewriting the bytes under them would corrupt every announced member.
-func ensureClusterCut(v graph.View, src store.Source, workers int, dir string) (*parallel.Attached, error) {
+func ensureClusterCut(v graph.View, workers int, dir string) (*parallel.Attached, error) {
 	if att, err := parallel.Attach(dir); err == nil {
 		if att.Workers() == workers &&
 			att.Graph.NumNodes() == v.NumNodes() &&
@@ -81,10 +77,7 @@ func ensureClusterCut(v graph.View, src store.Source, workers int, dir string) (
 		att.Close()
 		return nil, fmt.Errorf("cli: %s holds a different cut (want %d fragments of this graph); refusing to overwrite a directory announced servers may be serving — point -fragdir elsewhere or remove it", dir, workers)
 	}
-	if err := parallel.Spill(dir, src, parallel.VertexCut(v, workers)); err != nil {
-		return nil, err
-	}
-	return parallel.Attach(dir)
+	return spillAndAttach(v, workers, dir)
 }
 
 // DiscoverCluster runs the parallel pipeline against a self-assembling
@@ -94,8 +87,9 @@ func ensureClusterCut(v graph.View, src store.Source, workers int, dir string) (
 // locally from their spill files (and go remote when a member joins at
 // a superstep boundary). A health monitor pings every dialed member:
 // suspects hedge sooner, dead members fail over to their spill attach
-// and leave the map. Mining output is byte-identical to a local run
-// regardless of joins, leaves, and hedge outcomes.
+// and leave the map, and a restarted member rejoins by re-announcing.
+// Mining output is byte-identical to a local run regardless of joins,
+// leaves, and hedge outcomes.
 //
 // Worker 0 is always the coordinator's local mmap view; workers 1..n-1
 // are cluster slots. The returned report carries the final cluster map
@@ -104,18 +98,27 @@ func DiscoverCluster(v graph.View, opts discovery.Options, workers int, dir stri
 	if workers < 2 {
 		return nil, fmt.Errorf("cli: cluster mining needs -workers >= 2 (worker 0 stays local)")
 	}
-	src, ok := v.(store.Source)
-	if !ok {
-		return nil, fmt.Errorf("cli: %T is not serialisable as a snapshot", v)
-	}
-	rt := crt.withDefaults(workers)
-	logf := rt.Logf
-
-	att, err := ensureClusterCut(v, src, workers, dir)
+	att, err := ensureClusterCut(v, workers, dir)
 	if err != nil {
 		return nil, err
 	}
+	l, err := net.Listen("tcp", crt.Addr)
+	if err != nil {
+		att.Close()
+		return nil, fmt.Errorf("cli: registry listen %s: %w", crt.Addr, err)
+	}
+	return runCluster(att, opts, workers, dir, l, crt.withDefaults(workers), remote.Options{CallTimeout: time.Second})
+}
 
+// runCluster is the distributed run behind DiscoverCluster and
+// DiscoverRemote: it serves the membership registry on l, waits for
+// members, dials the announced slots (each fragment's remote.Options is
+// copts plus its spill file, hedge delay, logger and trace), and mines
+// with the balancer adopting joins and re-announcements at superstep
+// boundaries.
+func runCluster(att *parallel.Attached, opts discovery.Options, workers int, dir string,
+	l net.Listener, rt ClusterRuntime, copts remote.Options) (*Report, error) {
+	logf := rt.Logf
 	// Registry: announcements are vetted against the coordinator's own
 	// attach of the cut — worker slot in range, matching node range, edge
 	// count and node-store fingerprint.
@@ -140,11 +143,6 @@ func DiscoverCluster(v graph.View, opts discovery.Options, workers int, dir stri
 			return nil
 		},
 	})
-	l, err := net.Listen("tcp", rt.Addr)
-	if err != nil {
-		att.Close()
-		return nil, fmt.Errorf("cli: registry listen %s: %w", rt.Addr, err)
-	}
 	go rs.Serve(l)
 	defer rs.Close()
 	if logf != nil {
@@ -212,16 +210,12 @@ func DiscoverCluster(v graph.View, opts discovery.Options, workers int, dir stri
 	copy(frags, att.Frags)
 	remotes := make([]*remote.RemoteFragment, 0, workers-1)
 	members, _ := reg.Snapshot()
+	copts.HedgeAfter, copts.Logf, copts.Trace = rt.HedgeAfter, logf, opts.Trace
 	for w := 1; w < workers; w++ {
 		fragPath := filepath.Join(dir, parallel.FragmentSnapshotName(w))
-		copts := remote.Options{
-			FallbackPath:     fragPath,
-			CallTimeout:      time.Second,
-			HedgeAfter:       rt.HedgeAfter,
-			FailbackInterval: rt.FailbackInterval,
-			Logf:             logf,
-		}
+		copts.FallbackPath = fragPath
 		var rf *remote.RemoteFragment
+		var err error
 		if m, ok := members[w]; ok {
 			rf, err = remote.Dial(context.Background(), m.Addr, att.Graph, copts)
 			if err != nil {

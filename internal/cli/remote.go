@@ -8,60 +8,54 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/discovery"
 	"repro/internal/graph"
-	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/remote"
 	"repro/internal/store"
 )
 
-// RemoteRuntime configures DiscoverRemote's distributed runtime beyond
-// the worker count: chaos testing, lifecycle injection, and recovery.
+// RemoteRuntime configures DiscoverRemote's in-process fragment servers:
+// chaos testing and lifecycle injection.
 type RemoteRuntime struct {
-	// Fault wraps every in-process server connection for chaos testing
-	// (ignored with Addrs — external servers apply their own -fault).
+	// Fault wraps every in-process server connection for chaos testing.
 	Fault remote.FaultSpec
-	// Addrs, when non-empty, must hold one host:port per worker 1..n-1 of
-	// externally started gfdfrag processes serving dir's frag-N.gfds
-	// files (in worker order); no in-process servers are started.
-	Addrs []string
 	// DieAfter, when positive, makes every in-process fragment server die
 	// abruptly after serving that many frames — the coordinator sees a
 	// mid-mine worker loss and fails over to the spill file.
 	DieAfter int
 	// RestartAfter, when positive alongside DieAfter, resurrects each
 	// dead in-process server on its original address after this delay
-	// (without the death trap — it dies once), so a failback-enabled
-	// client can rejoin it mid-run.
+	// (without the death trap — it dies once). The resurrected server
+	// re-announces, and the coordinator adopts it at the next superstep
+	// boundary.
 	RestartAfter time.Duration
-	// FailbackInterval, when positive, enables client failback: declared-
-	// dead fragments probe their server at this interval and resume
-	// remote serving on a validated reconnect.
-	FailbackInterval time.Duration
 }
 
 // fragServer is one in-process fragment server plus the lifecycle the
-// runtime may impose on it: die abruptly after N frames, then (when
-// RestartAfter is set) come back on the same address for failback.
+// runtime may impose on it: announce to the coordinator's registry, die
+// abruptly after N frames, then (when RestartAfter is set) come back on
+// the same address and announce again.
 type fragServer struct {
-	m     *store.MappedGraph
-	fault remote.FaultSpec
-	addr  string
+	m        *store.MappedGraph
+	fault    remote.FaultSpec
+	info     remote.AnnounceInfo
+	registry string
+	ctx      context.Context
+	cancel   context.CancelFunc
 
 	mu      sync.Mutex
 	s       *remote.Server
 	stopped bool
 }
 
-// start opens the fragment, binds a loopback port and begins serving.
-func startFragServer(fragPath string, rt RemoteRuntime) (*fragServer, error) {
+// startFragServer opens the fragment, binds a loopback port, begins
+// serving and announces the server to registry.
+func startFragServer(fragPath, registry string, rt RemoteRuntime) (*fragServer, error) {
 	m, err := store.Open(fragPath)
 	if err != nil {
 		return nil, err
 	}
-	fs := &fragServer{m: m, fault: rt.Fault}
 	s, err := remote.NewServer(m, remote.ServerOptions{Fault: rt.Fault, DieAfter: rt.DieAfter})
 	if err != nil {
 		m.Close()
@@ -73,17 +67,34 @@ func startFragServer(fragPath string, rt RemoteRuntime) (*fragServer, error) {
 		m.Close()
 		return nil, err
 	}
-	fs.s = s
-	fs.addr = l.Addr().String()
+	info, err := remote.FragmentAnnounceInfo(m, l.Addr().String())
+	if err != nil {
+		l.Close()
+		s.Close()
+		m.Close()
+		return nil, err
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	fs := &fragServer{m: m, fault: rt.Fault, info: info, registry: registry, ctx: ctx, cancel: cancel, s: s}
+	go fs.announce()
 	go fs.run(s, l, rt.RestartAfter)
 	return fs, nil
 }
 
+// announce registers the server with the coordinator's registry. A
+// failed announcement is not an error: the slot mines from its spill
+// file, exactly as if the server were down.
+func (fs *fragServer) announce() {
+	remote.Announce(fs.ctx, fs.registry, fs.info, remote.Options{
+		Backoff: remote.Backoff{Base: 10 * time.Millisecond, Max: 200 * time.Millisecond, Factor: 2, Jitter: 0.5, Attempts: 20},
+	})
+}
+
 // run serves until the server dies or stops. With a restart delay, a
 // death (DieAfter closing the listener) is followed by a rebind of the
-// same address and a fresh server over the same mapping — this time
-// without the death trap, so the recovered server stays up for the
-// failed-over client to rejoin.
+// same address, a fresh server over the same mapping — this time
+// without the death trap — and a fresh announcement for the balancer to
+// adopt.
 func (fs *fragServer) run(s *remote.Server, l net.Listener, restartAfter time.Duration) {
 	s.Serve(l)
 	if restartAfter <= 0 {
@@ -91,138 +102,76 @@ func (fs *fragServer) run(s *remote.Server, l net.Listener, restartAfter time.Du
 	}
 	time.Sleep(restartAfter)
 	fs.mu.Lock()
+	defer fs.mu.Unlock()
 	if fs.stopped {
-		fs.mu.Unlock()
 		return
 	}
 	s2, err := remote.NewServer(fs.m, remote.ServerOptions{Fault: fs.fault})
 	if err != nil {
-		fs.mu.Unlock()
 		return
 	}
-	l2, err := net.Listen("tcp", fs.addr)
+	l2, err := net.Listen("tcp", fs.info.Addr)
 	if err != nil {
 		// The freed port was taken in the gap; the fragment simply stays
 		// failed over — correctness is unaffected.
 		s2.Close()
-		fs.mu.Unlock()
 		return
 	}
 	fs.s = s2
-	fs.mu.Unlock()
 	go s2.Serve(l2)
+	go fs.announce()
 }
 
 // stop shuts the current incarnation down and releases the mapping.
 func (fs *fragServer) stop() {
+	fs.cancel()
 	fs.mu.Lock()
 	fs.stopped = true
 	s := fs.s
 	fs.mu.Unlock()
-	if s != nil {
-		s.Close()
-	}
+	s.Close()
 	fs.m.Close()
 }
 
 // DiscoverRemote runs the parallel pipeline with the workers split
-// across the distributed runtime: v is vertex-cut and spilled to dir
-// like DiscoverSpilled, then every worker except worker 0 is served by
-// a fragment server over loopback TCP and the coordinator dials it as a
-// remote view — worker 0 stays a local mmap view, so the run always
-// mixes both kinds. Each dialed fragment's FallbackPath points at its
-// own spill file, so even a fragment declared dead degrades to the
-// local re-attach and the mining output is unchanged; with
-// rt.FailbackInterval the fragment rejoins a recovered server mid-run.
+// across the distributed runtime, all inside this process: v is
+// vertex-cut and spilled to dir like DiscoverSpilled, a membership
+// registry binds a loopback port, and every worker except worker 0 gets
+// an in-process fragment server that announces itself to it — worker 0
+// stays a local mmap view, so the run always mixes both kinds. From
+// there the run is DiscoverCluster's: each dialed fragment falls back to
+// its own spill file, so a dead server leaves the mining output
+// unchanged, and a restarted one rejoins by re-announcing.
 func DiscoverRemote(v graph.View, opts discovery.Options, workers int, dir string, rt RemoteRuntime) (*Report, error) {
 	if workers < 2 {
 		return nil, fmt.Errorf("cli: remote mining needs -workers >= 2 (worker 0 stays local)")
 	}
-	src, ok := v.(store.Source)
-	if !ok {
-		return nil, fmt.Errorf("cli: %T is not serialisable as a snapshot", v)
-	}
-	if len(rt.Addrs) > 0 && len(rt.Addrs) != workers-1 {
-		return nil, fmt.Errorf("cli: %d server addresses for %d remote workers (workers 1..%d)", len(rt.Addrs), workers-1, workers-1)
-	}
-	if err := parallel.Spill(dir, src, parallel.VertexCut(v, workers)); err != nil {
-		return nil, err
-	}
-	att, err := parallel.Attach(dir)
+	att, err := spillAndAttach(v, workers, dir)
 	if err != nil {
 		return nil, err
 	}
-	if att.Workers() != workers {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
 		att.Close()
-		return nil, fmt.Errorf("cli: %s holds %d fragments, want %d", dir, att.Workers(), workers)
+		return nil, err
 	}
-
-	// One server per remote worker, unless external ones were supplied.
-	var servers []*fragServer
-	defer func() {
-		for _, fs := range servers {
-			fs.stop()
-		}
-	}()
-	frags := make([]parallel.Fragment, workers)
-	copy(frags, att.Frags)
-	remotes := make([]*remote.RemoteFragment, 0, workers-1)
 	for w := 1; w < workers; w++ {
-		fragPath := filepath.Join(dir, parallel.FragmentSnapshotName(w))
-		addr := ""
-		if len(rt.Addrs) > 0 {
-			addr = rt.Addrs[w-1]
-		} else {
-			fs, err := startFragServer(fragPath, rt)
-			if err != nil {
-				att.Close()
-				return nil, err
-			}
-			servers = append(servers, fs)
-			addr = fs.addr
-		}
-		copts := remote.Options{
-			FallbackPath:     fragPath,
-			CallTimeout:      time.Second,
-			FailbackInterval: rt.FailbackInterval,
-			Trace:            opts.Trace,
-		}
-		if rt.Fault.Active() || rt.DieAfter > 0 {
-			// Injected faults (and deliberate server deaths) make dropped
-			// responses routine, and every drop costs one CallTimeout: keep
-			// the deadline tight and spend the saved time on more retry
-			// attempts instead.
-			copts.CallTimeout = 100 * time.Millisecond
-			copts.Backoff = remote.Backoff{Base: 2 * time.Millisecond, Max: 20 * time.Millisecond, Factor: 2, Jitter: 0.5, Attempts: 12}
-		}
-		rf, err := remote.Dial(context.Background(), addr, att.Graph, copts)
+		fs, err := startFragServer(filepath.Join(dir, parallel.FragmentSnapshotName(w)), l.Addr().String(), rt)
 		if err != nil {
+			l.Close()
 			att.Close()
-			return nil, fmt.Errorf("cli: worker %d: %w", w, err)
+			return nil, err
 		}
-		remotes = append(remotes, rf)
-		frags[w].Sub = rf
+		defer fs.stop()
 	}
-
-	steal0 := stealChunkTotal()
-	eng := cluster.New(cluster.Config{Workers: workers, Obs: obs.Default, Trace: opts.Trace})
-	pr := parallel.MineFragments(context.Background(), att.Graph, frags, opts, eng, parallel.Options{LoadBalance: true})
-	rep := &Report{
-		SimulatedTime: pr.Cluster.Total(),
-		FragmentEdges: pr.FragmentEdges,
-		MeasuredBytes: pr.Cluster.MeasuredBytes,
-		HedgesFired:   pr.Cluster.HedgesFired,
-		HedgesWon:     pr.Cluster.HedgesWon,
-		StealChunks:   stealChunkTotal() - steal0,
+	copts := remote.Options{CallTimeout: time.Second}
+	if rt.Fault.Active() || rt.DieAfter > 0 {
+		// Injected faults (and deliberate server deaths) make dropped
+		// responses routine, and every drop costs one CallTimeout: keep
+		// the deadline tight and spend the saved time on more retry
+		// attempts instead.
+		copts.CallTimeout = 100 * time.Millisecond
+		copts.Backoff = remote.Backoff{Base: 2 * time.Millisecond, Max: 20 * time.Millisecond, Factor: 2, Jitter: 0.5, Attempts: 12}
 	}
-	for _, rf := range remotes {
-		if rf.FailedOver() {
-			rep.FailedOver++
-		}
-		if rf.Rejoined() {
-			rep.Rejoined++
-		}
-	}
-	rep.fill(pr.Result)
-	return rep, nil
+	return runCluster(att, opts, workers, dir, l, ClusterRuntime{}.withDefaults(workers), copts)
 }

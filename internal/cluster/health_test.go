@@ -40,7 +40,7 @@ func TestHealthTransitionTable(t *testing.T) {
 	if got := h.ObserveMiss(); got != Dead {
 		t.Fatalf("miss while dead: %v, want dead", got)
 	}
-	// Failback-validated rejoin resets everything.
+	// A validated rejoin resets everything.
 	h.ObserveRejoin()
 	if got := h.State(); got != Healthy {
 		t.Fatalf("after rejoin: %v, want healthy", got)

@@ -40,7 +40,7 @@ func FromCols(p *pattern.Pattern, cols [][]graph.NodeID) (*Table, error) {
 // child ParentRows lists the surviving rows (unique, ascending) and
 // NewCol is nil. Candidates for one parent row appear in the view's
 // enumeration order, so merging per-view shares in view order reproduces
-// the exact row order of the fused loop in extendRowsViews.
+// the exact row order of the multi-view kernel extendIndexedViews.
 type IndexedExt struct {
 	ParentRows []uint32
 	NewCol     []graph.NodeID
@@ -49,21 +49,32 @@ type IndexedExt struct {
 // BatchExtender is a view that computes its own share of the incremental
 // join — a remote fragment does it server-side against its snapshot and
 // ships the result back as flat columns. ExtendRowsViews detects it and
-// switches to the index-merge path, which is byte-identical to the fused
-// local loop (locked by TestIndexedMergeDifferential).
+// switches to the index-merge path, which is byte-identical to the
+// multi-view kernel (locked by TestIndexedMergeDifferential).
 type BatchExtender interface {
 	ExtendIndexed(t *Table, child *pattern.Pattern) IndexedExt
 }
 
-// extendRowsMerge is the index-merge form of extendRowsViews, taken when
-// any view computes its own share (BatchExtender). Each view produces an
-// IndexedExt — remotely or via the local reference implementation — and
-// the shares are merged per parent row in view order, reproducing the
-// fused loop's row order exactly: for every parent row, view 0's
-// extensions precede view 1's, and a closing-edge row is kept once no
-// matter how many views witness the edge.
-func extendRowsMerge(views []graph.View, t *Table, child *pattern.Pattern) *Table {
-	out := NewTable(child)
+// hasBatchExtender reports whether any view computes its own share.
+func hasBatchExtender(views []graph.View) bool {
+	for _, v := range views {
+		if _, ok := v.(BatchExtender); ok {
+			return true
+		}
+	}
+	return false
+}
+
+// extendIndexedMerge is the join over a view mix that includes at least
+// one BatchExtender. Each view produces its own IndexedExt — remotely or
+// via ExtendIndexed — and the shares are merged per parent row in view
+// order into the one IndexedExt extendIndexedViews would have built over
+// the same views: for every parent row, view 0's extensions precede view
+// 1's, and a closing-edge row is kept once no matter how many views
+// witness the edge. Share entries naming rows outside t are never
+// consumed, so a malformed remote share cannot index past t.
+func extendIndexedMerge(views []graph.View, t *Table, child *pattern.Pattern) IndexedExt {
+	var out IndexedExt
 	if t == nil {
 		return out
 	}
@@ -91,35 +102,24 @@ func extendRowsMerge(views []graph.View, t *Table, child *pattern.Pattern) *Tabl
 		}
 	}
 	pipelined.Wait()
-	pn := t.P.N()
+	closing := child.N() == t.P.N()
 	rows := t.Len()
 	cur := make([]int, len(exts))
-	if child.N() == pn {
-		// Closing edge: a row survives if any view's share lists it.
-		for r := 0; r < rows; r++ {
-			hit := false
-			for i := range exts {
-				pr := exts[i].ParentRows
-				for cur[i] < len(pr) && int(pr[cur[i]]) == r {
-					cur[i]++
-					hit = true
-				}
-			}
-			if hit {
-				out.appendRow(t, r)
-			}
-		}
-		return out
-	}
-	nv := pn
 	for r := 0; r < rows; r++ {
+		hit := false
 		for i := range exts {
 			pr := exts[i].ParentRows
 			for cur[i] < len(pr) && int(pr[cur[i]]) == r {
-				out.appendRow(t, r)
-				out.cols[nv] = append(out.cols[nv], exts[i].NewCol[cur[i]])
+				if !closing {
+					out.ParentRows = append(out.ParentRows, uint32(r))
+					out.NewCol = append(out.NewCol, exts[i].NewCol[cur[i]])
+				}
 				cur[i]++
+				hit = true
 			}
+		}
+		if closing && hit {
+			out.ParentRows = append(out.ParentRows, uint32(r))
 		}
 	}
 	return out

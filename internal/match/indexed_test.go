@@ -56,7 +56,7 @@ func sameTable(a, b *Table) bool {
 }
 
 // TestIndexedMergeDifferential locks the index-merge path (taken when any
-// view is a BatchExtender) to the fused local loop: for random graphs,
+// view is a BatchExtender) to the multi-view kernel: for random graphs,
 // random parent/child patterns, random view counts and a random subset of
 // views shimmed through BatchExtender, the output table must be
 // byte-identical — same rows in the same order — to the all-local call.
@@ -94,7 +94,7 @@ func TestIndexedMergeDifferential(t *testing.T) {
 	}
 }
 
-// TestIndexedMergeNilTable: the merge path must mirror the fused loop's
+// TestIndexedMergeNilTable: the merge path must mirror the kernel's
 // nil-table contract (empty output table, correct arity).
 func TestIndexedMergeNilTable(t *testing.T) {
 	r := rand.New(rand.NewSource(1))

@@ -99,7 +99,7 @@ const (
 	PlanStatic PlannerMode = iota
 	// PlanGlobal scores each candidate step by global per-label
 	// selectivity: mean edges per node times the node-label filter (the
-	// planner-v1 estimator, kept as an ablation reference).
+	// planner-v1 estimator, kept as a test-only ablation reference).
 	PlanGlobal
 	// PlanDegree is planner v2: PlanGlobal's estimate corrected by the
 	// per-label degree distribution (DegreeStats) — a step anchored at a
@@ -110,32 +110,12 @@ const (
 	PlanDegree
 )
 
-// DefaultPlanner is the mode Compile (and therefore PlanFor) uses. It is
-// an ablation knob, not a runtime switch: set it before any plans are
-// compiled, because cached plans are not invalidated by changing it.
-var DefaultPlanner = PlanDegree
-
 // Compile builds a fresh selectivity-ordered plan of p against v with the
-// DefaultPlanner cost model, bypassing the cache. Use it for throwaway
+// PlanDegree cost model, bypassing the cache. Use it for throwaway
 // patterns (e.g. edge reductions) that would only bloat the per-view
 // cache.
 func Compile(v graph.View, p *pattern.Pattern) *Plan {
-	return compile(v, p, DefaultPlanner)
-}
-
-// CompileStatic builds a plan with the pre-statistics step order (most
-// pattern edges into the bound prefix first, ignoring the view's label
-// frequencies). It is retained as the reference point for the
-// selectivity-ordering differential tests and ablation benchmarks.
-func CompileStatic(v graph.View, p *pattern.Pattern) *Plan {
-	return compile(v, p, PlanStatic)
-}
-
-// CompileGlobal builds a plan with the planner-v1 estimator (global
-// per-label selectivity, no degree correction) — the second ablation
-// reference, isolating what the degree-aware correction changes.
-func CompileGlobal(v graph.View, p *pattern.Pattern) *Plan {
-	return compile(v, p, PlanGlobal)
+	return compile(v, p, PlanDegree)
 }
 
 // compile builds the step order. With a statistics mode, the next

@@ -66,10 +66,39 @@ func TestPlannerModesDifferentialSkewed(t *testing.T) {
 	}
 }
 
-// TestDefaultPlannerIsDegree locks the flag default: ablations flip it
-// explicitly, production paths get the v2 estimator.
-func TestDefaultPlannerIsDegree(t *testing.T) {
-	if DefaultPlanner != PlanDegree {
-		t.Fatalf("DefaultPlanner = %v, want PlanDegree", DefaultPlanner)
+// CompileStatic builds a plan with the pre-statistics step order (most
+// pattern edges into the bound prefix first, ignoring the view's label
+// frequencies): the reference point of the planner differentials and the
+// static-order ablation benchmark.
+func CompileStatic(v graph.View, p *pattern.Pattern) *Plan {
+	return compile(v, p, PlanStatic)
+}
+
+// CompileGlobal builds a plan with the planner-v1 estimator (global
+// per-label selectivity, no degree correction) — the second ablation
+// reference, isolating what the degree-aware correction changes.
+func CompileGlobal(v graph.View, p *pattern.Pattern) *Plan {
+	return compile(v, p, PlanGlobal)
+}
+
+// BenchmarkEnumerateOrder is the planner ablation: full enumeration of
+// a DBpediaSim 2-edge path under the selectivity order Compile picks
+// and under the static order.
+func BenchmarkEnumerateOrder(b *testing.B) {
+	g := dataset.DBpediaSim(2000, 42)
+	child := pattern.SingleEdge("T00", "r00", "T01").ExtendNewNode(1, "r01", "T02", true)
+	for _, bc := range []struct {
+		name string
+		pl   *Plan
+	}{
+		{"selectivity", Compile(g, child)},
+		{"static", CompileStatic(g, child)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bc.pl.CountMatches(0)
+			}
+		})
 	}
 }

@@ -232,11 +232,11 @@ func EdgeMatches(g graph.View, p *pattern.Pattern, edges []graph.Edge) *Table {
 // first t.P.N() variables must agree with t's pattern (same labels); the
 // new variable, if any, has index t.P.N().
 //
-// The input table is never mutated. Extension is a column builder: output
-// rows are appended cell-by-cell to flat columns, so no per-row slice is
-// ever allocated. Labels are resolved to interned IDs once per call and
-// the inner loop is the batched run kernel of extend.go, which amortises
-// CSR lookups and label filters over runs of equal-anchor rows.
+// The input table is never mutated. Extension is a column builder: the
+// batched run kernel of extend.go lists the extending parent rows (and
+// new-node bindings), and each output column is gathered through that
+// list into an exact-size flat column, so no per-row slice is ever
+// allocated.
 func ExtendRows(g graph.View, t *Table, child *pattern.Pattern) *Table {
 	return extendRowsViews([]graph.View{g}, t, child)
 }

@@ -12,15 +12,22 @@ import (
 // share. The parallel backend calls ApplyAtBoundary before every
 // superstep (via parallel.Options.Membership); between boundaries the
 // map can churn freely, the mining loop never sees it mid-step.
+//
+// It is also the only recovery path back from a failover: a restarted
+// server re-announces, and the next boundary adopts it. Each
+// announcement (identified by the epoch it joined at) is tried at most
+// once per slot, so a dead member still in the map costs no handshake
+// per boundary, yet an announcement that lands before the in-line
+// failover notices the death is still adopted afterwards.
 type Balancer struct {
 	reg     *cluster.Registry
 	monitor *Monitor
 	logf    func(format string, args ...any)
 
 	mu        sync.Mutex
-	applied   uint64 // registry epoch the fragment set last converged to
 	frags     map[int]*RemoteFragment
 	adopted   map[int]string // member address each slot currently targets
+	tried     map[int]uint64 // Joined epoch of the announcement each slot last acted on
 	adoptions int
 }
 
@@ -33,6 +40,7 @@ func NewBalancer(reg *cluster.Registry, monitor *Monitor, logf func(format strin
 		logf:    logf,
 		frags:   make(map[int]*RemoteFragment),
 		adopted: make(map[int]string),
+		tried:   make(map[int]uint64),
 	}
 }
 
@@ -45,6 +53,9 @@ func (b *Balancer) Manage(rf *RemoteFragment, addr string) {
 	w := rf.Info().Worker
 	b.frags[w] = rf
 	b.adopted[w] = addr
+	if m, ok := b.reg.Member(w); ok && m.Addr == addr {
+		b.tried[w] = m.Joined
+	}
 }
 
 // Adoptions returns how many times a fragment was re-pointed at a
@@ -56,28 +67,28 @@ func (b *Balancer) Adoptions() int {
 }
 
 // ApplyAtBoundary reconciles the fragment set with the current cluster
-// map. Cheap no-op when the epoch has not moved since the last
-// reconciliation. For each managed slot whose registered member differs
-// from what the fragment targets, the fragment Adopts the member's
-// address (revalidating the handshake when it was serving locally).
-// Slots whose member left are not touched here — in-line failover and
-// the health monitor own the leave path; the balancer only routes
-// toward announced members. If the map moves again mid-apply the pass
+// map. For each managed slot whose registered member differs from what
+// the fragment targets — or whose fragment serves locally while the
+// slot holds an announcement not yet tried — the fragment Adopts the
+// member's address (revalidating the handshake when it was serving
+// locally). Slots whose member left are not touched here — in-line
+// failover and the health monitor own the leave path; the balancer only
+// routes toward announced members. If the map moves mid-apply the pass
 // abandons its now-stale snapshot and waits for the next boundary.
 func (b *Balancer) ApplyAtBoundary() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	snap, epoch := b.reg.Snapshot()
-	if epoch == b.applied {
-		return
-	}
-	clean := true
 	for w, rf := range b.frags {
 		m, ok := snap[w]
 		if !ok {
 			continue
 		}
-		if !rf.FailedOver() && b.adopted[w] == m.Addr {
+		if rf.FailedOver() {
+			if b.tried[w] == m.Joined {
+				continue
+			}
+		} else if b.adopted[w] == m.Addr {
 			continue
 		}
 		if cur := b.reg.Epoch(); cur != epoch {
@@ -88,11 +99,11 @@ func (b *Balancer) ApplyAtBoundary() {
 			}
 			return
 		}
+		b.tried[w] = m.Joined
 		if err := rf.Adopt(m.Addr); err != nil {
 			if b.logf != nil {
 				b.logf("balancer: worker %d: %v", w, err)
 			}
-			clean = false
 			continue
 		}
 		b.adopted[w] = m.Addr
@@ -103,8 +114,5 @@ func (b *Balancer) ApplyAtBoundary() {
 		if b.monitor != nil {
 			b.monitor.Watch(rf)
 		}
-	}
-	if clean {
-		b.applied = epoch
 	}
 }

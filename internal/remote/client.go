@@ -34,13 +34,6 @@ type Options struct {
 	// mining output is unchanged because the spill file holds exactly the
 	// section bytes the server was mapping.
 	FallbackPath string
-	// FailbackInterval, when > 0, closes the recovery loop: a failed-over
-	// fragment probes its dead server at this interval and, when the
-	// handshake succeeds again with the same fragment identity and
-	// node-store fingerprint, resumes remote serving mid-run. Zero
-	// disables failback (a failed-over fragment stays local forever, the
-	// PR 6 behaviour).
-	FailbackInterval time.Duration
 	// HedgeAfter, when > 0, enables hedged replica reads: an extend share
 	// still outstanding on the wire after this long is concurrently
 	// recomputed from the local spill replica (FallbackPath) and the first
@@ -59,8 +52,7 @@ type Options struct {
 	// Logf, if set, receives one line per retry/failover event.
 	Logf func(format string, args ...any)
 	// Trace, when non-nil, receives share spans and
-	// failover/failback/adoption/hedge events for the run's JSONL span
-	// log.
+	// failover/adoption/hedge events for the run's JSONL span log.
 	Trace *obs.Tracer
 }
 
@@ -99,15 +91,15 @@ type RemoteFragment struct {
 	opts Options
 
 	// ctx is the fragment's internal lifetime: derived from the caller's
-	// Dial context, cancelled by Close so retries, backoff sleeps and the
-	// failback prober all stop with the fragment.
+	// Dial context, cancelled by Close so retries and backoff sleeps stop
+	// with the fragment.
 	ctx    context.Context
 	cancel context.CancelFunc
 
 	info           store.FragmentInfo
 	numEdges       int
 	edgeLabelCount []uint64
-	baseFP         uint64 // handshake fingerprint; failback revalidates it
+	baseFP         uint64 // handshake fingerprint; Adopt revalidates it
 
 	planCache sync.Map
 
@@ -126,8 +118,7 @@ type RemoteFragment struct {
 	failedOver  atomic.Bool
 	dead        atomic.Bool // declared dead: calls short-circuit to local
 	closed      atomic.Bool // Close latch: calls after Close are refused
-	probing     atomic.Bool // failback prober running
-	rejoined    atomic.Bool // sticky: failback succeeded at least once
+	rejoined    atomic.Bool // sticky: a validated adoption ended a failover
 
 	suspect     atomic.Bool  // health monitor verdict: hedge sooner
 	hedgesFired atomic.Int64 // hedges launched since the last drain
@@ -225,11 +216,13 @@ func (f *RemoteFragment) TakeHedges() (fired, won int64) {
 }
 
 // FailedOver reports whether the fragment is currently serving from its
-// local spill attach after being declared dead. Failback clears it.
+// local spill attach after being declared dead. A validated adoption
+// clears it.
 func (f *RemoteFragment) FailedOver() bool { return f.failedOver.Load() }
 
-// Rejoined reports whether the fragment has ever failed back: declared
-// dead, then resumed remote serving after a validated reconnect.
+// Rejoined reports whether the fragment has ever rejoined a server:
+// serving locally, then resumed remote serving after a validated
+// adoption.
 func (f *RemoteFragment) Rejoined() bool { return f.rejoined.Load() }
 
 // TakeTransferred drains the wire-byte counter: every frame sent or
@@ -240,8 +233,8 @@ func (f *RemoteFragment) TakeTransferred() int64 { return f.transferred.Swap(0) 
 
 // Healthy probes the server with one heartbeat round-trip under ctx (no
 // retries): the liveness check, not the recovery path. It deliberately
-// ignores the dead flag — the failback prober and external monitors use
-// it to observe the wire, local fallback or not.
+// ignores the dead flag — the health monitor uses it to observe the
+// wire, local fallback or not.
 func (f *RemoteFragment) Healthy(ctx context.Context) error {
 	_, err := f.PingRTT(ctx)
 	return err
@@ -277,7 +270,7 @@ func (f *RemoteFragment) Close() error {
 	if !f.closed.CompareAndSwap(false, true) {
 		return fmt.Errorf("remote: fragment %d (%s) already closed", f.info.Worker, f.Addr())
 	}
-	f.cancel() // stops backoff sleeps and the failback prober
+	f.cancel() // stops backoff sleeps
 	f.connMu.Lock()
 	if f.mx != nil {
 		f.mx.Close()
@@ -418,8 +411,8 @@ func (f *RemoteFragment) localView() *store.MappedGraph {
 // or nil when the share belongs on the wire. Local serving applies when
 // the fragment is declared dead (failover) or when a full replica has
 // already been fetched (no reason to pay a round trip for data already
-// resident). A spill attach whose server has failed back returns nil —
-// the fragment is remote again.
+// resident). A spill attach whose slot was re-adopted returns nil — the
+// fragment is remote again.
 func (f *RemoteFragment) servingLocal() *store.MappedGraph {
 	f.localMu.Lock()
 	defer f.localMu.Unlock()
@@ -438,9 +431,9 @@ func (f *RemoteFragment) servingLocal() *store.MappedGraph {
 // substitute when no spill file was configured. With neither, the
 // coordinator cannot preserve correctness and the run stops with a
 // descriptive panic — returning wrong mining output is not an option.
-// Both branches latch the dead flag (so calls short-circuit straight to
-// the local view instead of re-entering the dial/retry ladder) and start
-// the failback prober when one is configured.
+// Both branches latch the dead flag, so calls short-circuit straight to
+// the local view instead of re-entering the dial/retry ladder until the
+// balancer adopts a re-announced server for the slot.
 func (f *RemoteFragment) declareDead(cause error) *store.MappedGraph {
 	f.localMu.Lock()
 	m := f.local
@@ -474,50 +467,17 @@ func (f *RemoteFragment) declareDead(cause error) *store.MappedGraph {
 		f.opts.Trace.Event("failover",
 			"worker", strconv.Itoa(f.info.Worker), "cause", cause.Error())
 	}
-	f.startFailback()
 	return m
 }
 
-// --- Failback ---
-
-// startFailback launches the recovery prober if failback is enabled and
-// one is not already running. Called from declareDead on both branches.
-func (f *RemoteFragment) startFailback() {
-	if f.opts.FailbackInterval <= 0 || f.closed.Load() {
-		return
-	}
-	if !f.probing.CompareAndSwap(false, true) {
-		return
-	}
-	go f.failbackLoop()
-}
-
-// failbackLoop probes the dead server at FailbackInterval until the
-// fragment rejoins, the fragment closes, or its context ends. Sleeps go
-// through Options.Clock so tests drive the cadence deterministically.
-func (f *RemoteFragment) failbackLoop() {
-	defer f.probing.Store(false)
-	for {
-		if err := f.opts.Clock.Sleep(f.ctx, f.opts.FailbackInterval); err != nil {
-			return
-		}
-		if f.closed.Load() {
-			return
-		}
-		if f.tryFailback() {
-			return
-		}
-	}
-}
-
-// tryFailback re-runs the handshake against the (possibly recovered)
-// server and resumes remote serving only when it proves to be the same
-// fragment of the same graph: identical worker identity, node range,
-// edge count and node-store fingerprint. A server that answers with
-// anything else — a different spill generation, a different graph —
-// leaves the fragment failed over; serving from the validated local
-// attach beats trusting an imposter.
-func (f *RemoteFragment) tryFailback() bool {
+// revalidate re-runs the handshake against the adopted server and
+// resumes remote serving only when it proves to be the same fragment of
+// the same graph: identical worker identity, node range, edge count and
+// node-store fingerprint. A server that answers with anything else — a
+// different spill generation, a different graph — leaves the fragment
+// failed over; serving from the validated local attach beats trusting
+// an imposter.
+func (f *RemoteFragment) revalidate() bool {
 	ctx, cancel := context.WithTimeout(f.ctx, f.opts.CallTimeout)
 	defer cancel()
 	typ, resp, err := f.attempt(ctx, msgHello, nil)
@@ -530,15 +490,13 @@ func (f *RemoteFragment) tryFailback() bool {
 	}
 	got := store.FragmentInfo{Worker: h.Worker, NodeLo: h.NodeLo, NodeHi: h.NodeHi}
 	if h.Fingerprint != f.baseFP || got != f.info || h.NumEdges != f.numEdges {
-		f.logf("remote: %s: failback probe reached a server holding a different fragment; staying failed over", f.Addr())
+		f.logf("remote: %s holds a different fragment; staying failed over", f.Addr())
 		return false
 	}
 	f.dead.Store(false)
 	f.failedOver.Store(false)
 	f.rejoined.Store(true)
-	mFailbacks.Inc()
-	f.opts.Trace.Event("failback", "worker", strconv.Itoa(f.info.Worker), "addr", f.Addr())
-	f.logf("remote: fragment %d at %s recovered; failing back to remote serving", f.info.Worker, f.Addr())
+	f.logf("remote: fragment %d at %s validated; resuming remote serving", f.info.Worker, f.Addr())
 	return true
 }
 
@@ -686,8 +644,8 @@ func (f *RemoteFragment) traceHedge(winner string) {
 
 // ensureLocal returns a local mapping suitable for hedged recomputes:
 // the already-resident mapping if one exists, else a fresh validated
-// attach of FallbackPath. Unlike declareDead it neither latches the
-// dead flag nor starts the failback prober — remote serving continues
+// attach of FallbackPath. Unlike declareDead it does not latch the dead
+// flag — remote serving continues
 // (servingLocal only serves a spill attach once the fragment is dead),
 // the mapping just sits ready to race slow shares.
 func (f *RemoteFragment) ensureLocal() (*store.MappedGraph, error) {
@@ -713,8 +671,8 @@ func (f *RemoteFragment) ensureLocal() (*store.MappedGraph, error) {
 }
 
 // FailOver applies the health monitor's Dead verdict: re-attach the
-// spill (or keep the resident replica) and serve locally until
-// failback. The in-line escalation panics without a local source —
+// spill (or keep the resident replica) and serve locally until a
+// re-announced server is adopted. The in-line escalation panics without a local source —
 // mid-superstep there is no other way to preserve correctness — but a
 // monitor verdict arrives between calls, so here the degenerate case
 // reports an error and leaves the fragment remote instead.
@@ -736,9 +694,10 @@ func (f *RemoteFragment) FailOver(cause error) error {
 // at a superstep boundary. The live mux is torn down when the address
 // actually changes, so the next call dials the replacement. A fragment
 // currently serving locally (failed over, or deferred via
-// NewLocalFragment) additionally revalidates the handshake right away
-// and on success resumes remote serving — the member-join path. A
-// validation failure leaves it serving locally and returns the error.
+// NewLocalFragment) additionally redials and revalidates the handshake
+// right away and on success resumes remote serving — the member-join and
+// restart-rejoin path. A validation failure leaves it serving locally
+// and returns the error.
 func (f *RemoteFragment) Adopt(addr string) error {
 	if f.closed.Load() {
 		return fmt.Errorf("remote: fragment %d is closed", f.info.Worker)
@@ -749,7 +708,8 @@ func (f *RemoteFragment) Adopt(addr string) error {
 	f.addrMu.Unlock()
 	mAdoptions.Inc()
 	f.opts.Trace.Event("adopt", "worker", strconv.Itoa(f.info.Worker), "addr", addr)
-	if !same {
+	dead := f.dead.Load()
+	if !same || dead {
 		f.connMu.Lock()
 		if f.mx != nil {
 			f.mx.Close()
@@ -757,10 +717,10 @@ func (f *RemoteFragment) Adopt(addr string) error {
 		}
 		f.connMu.Unlock()
 	}
-	if !f.dead.Load() {
+	if !dead {
 		return nil
 	}
-	if f.tryFailback() {
+	if f.revalidate() {
 		return nil
 	}
 	return fmt.Errorf("remote: fragment %d: adopting %s failed handshake validation; staying local", f.info.Worker, addr)

@@ -40,19 +40,12 @@ func announceFrag(t *testing.T, fragPath, addr string, epoch uint64) AnnounceInf
 		t.Fatal(err)
 	}
 	defer m.Close()
-	fi, has := m.Fragment()
-	if !has {
-		t.Fatalf("%s carries no fragment metadata", fragPath)
+	info, err := FragmentAnnounceInfo(m, addr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return AnnounceInfo{
-		Worker:      fi.Worker,
-		Addr:        addr,
-		NodeLo:      fi.NodeLo,
-		NodeHi:      fi.NodeHi,
-		NumEdges:    m.NumEdges(),
-		Fingerprint: Fingerprint(m),
-		Epoch:       epoch,
-	}
+	info.Epoch = epoch
+	return info
 }
 
 // TestAnnounceWire: the announce round trip over the real frame
@@ -261,7 +254,7 @@ func (c *stepClock) step(t *testing.T, n int) {
 // TestMonitorTransitions drives the full ladder against a real server:
 // healthy while it answers, suspect after the first missed heartbeat,
 // dead (failed over, reported up) after the second, healthy again
-// after the failback prober rejoins the restarted server.
+// after the restarted server re-announces and the balancer adopts it.
 func TestMonitorTransitions(t *testing.T) {
 	g := dataset.DBpediaSim(120, 42)
 	dir := spillGraph(t, g, 2)
@@ -283,13 +276,11 @@ func TestMonitorTransitions(t *testing.T) {
 	go s.Serve(l)
 	addr := l.Addr().String()
 
-	// The fragment's own machinery (retries, failback prober) runs on
-	// the real clock with tight intervals; only the monitor cadence is
-	// stepped.
+	// The fragment's own retries run on the real clock with tight
+	// intervals; only the monitor cadence is stepped.
 	rf := dialTest(t, addr, g, Options{
-		CallTimeout:      100 * time.Millisecond,
-		FallbackPath:     fragPath,
-		FailbackInterval: 10 * time.Millisecond,
+		CallTimeout:  100 * time.Millisecond,
+		FallbackPath: fragPath,
 	})
 	sc := newStepClock()
 	var deadMu sync.Mutex
@@ -330,6 +321,9 @@ func TestMonitorTransitions(t *testing.T) {
 	}
 
 	sc.step(t, 1)
+	// Wait for the probe's round trip to land: a probe still in flight
+	// when the server dies below would count as a second miss.
+	waitCond(func() bool { return mon.RTTQuantile(w, 0.5) > 0 }, "first heartbeat never landed")
 	waitState(cluster.Healthy, "after one clean probe")
 	if rf.Suspect() {
 		t.Fatal("healthy member marked suspect")
@@ -349,27 +343,19 @@ func TestMonitorTransitions(t *testing.T) {
 	}
 	deadMu.Unlock()
 
-	// Restart the server on the same address; the fragment's failback
-	// prober (real clock) rejoins it.
-	s2, err := NewServer(m, ServerOptions{})
-	if err != nil {
+	// Restart the server on the same address and re-announce it; the
+	// balancer adopts it at the next boundary and re-watches the slot.
+	restartServer(t, fragPath, addr)
+	reg := cluster.NewRegistry()
+	bal := NewBalancer(reg, mon, t.Logf)
+	bal.Manage(rf, addr)
+	if _, err := reg.Announce(w, addr, 0); err != nil {
 		t.Fatal(err)
 	}
-	var l2 net.Listener
-	for i := 0; i < 100; i++ {
-		l2, err = net.Listen("tcp", addr)
-		if err == nil {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
+	bal.ApplyAtBoundary()
+	if !rf.Rejoined() {
+		t.Fatal("re-announced server was not adopted")
 	}
-	if err != nil {
-		t.Fatalf("rebind %s: %v", addr, err)
-	}
-	go s2.Serve(l2)
-	t.Cleanup(func() { s2.Close() })
-
-	waitCond(rf.Rejoined, "fragment never failed back")
 	// The monitor folds the rejoin back in on its next ticks.
 	deadline := time.Now().Add(10 * time.Second)
 	for mon.State(w) != cluster.Healthy {

@@ -16,7 +16,6 @@ var (
 	hRPCCall     = obs.Default.Histogram("gfd_rpc_call_seconds")
 	hShare       = obs.Default.Histogram("gfd_remote_share_seconds")
 	mFailovers   = obs.Default.Counter("gfd_remote_failovers_total")
-	mFailbacks   = obs.Default.Counter("gfd_remote_failbacks_total")
 	mAdoptions   = obs.Default.Counter("gfd_remote_adoptions_total")
 )
 

@@ -3,7 +3,6 @@ package remote
 import (
 	"context"
 	"fmt"
-	"net"
 	"os"
 	"path/filepath"
 	"sort"
@@ -15,7 +14,6 @@ import (
 	"repro/internal/discovery"
 	"repro/internal/graph"
 	"repro/internal/parallel"
-	"repro/internal/store"
 )
 
 const (
@@ -198,9 +196,10 @@ func TestGoldenMiningFailover(t *testing.T) {
 
 // TestGoldenMiningFailback: the full recovery loop around the golden
 // run. A server killed mid-mine forces failover (run 1 stays golden on
-// the spill attach); the server then restarts on the same address, the
-// failback prober rejoins it, and a second mine goes back over the wire
-// — byte-identical both times.
+// the spill attach); the server then restarts on the same address and
+// re-announces, the balancer adopts it at the first superstep boundary
+// of a second mine, and that mine goes back over the wire —
+// byte-identical both times.
 func TestGoldenMiningFailback(t *testing.T) {
 	g, want := loadGolden(t)
 	dir := t.TempDir()
@@ -216,65 +215,47 @@ func TestGoldenMiningFailback(t *testing.T) {
 	frags, clients := mixFragments(t, dir, att, map[int]bool{1: true},
 		ServerOptions{DieAfter: 25},
 		Options{
-			CallTimeout:      200 * time.Millisecond,
-			Backoff:          Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond, Factor: 2, Jitter: 0.5, Attempts: 3},
-			FallbackPath:     fragPath,
-			FailbackInterval: 10 * time.Millisecond,
+			CallTimeout:  200 * time.Millisecond,
+			Backoff:      Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond, Factor: 2, Jitter: 0.5, Attempts: 3},
+			FallbackPath: fragPath,
 		})
 	rf := clients[0]
 	addr := rf.Addr()
+	reg := cluster.NewRegistry()
+	if _, err := reg.Announce(1, addr, 0); err != nil {
+		t.Fatal(err)
+	}
+	bal := NewBalancer(reg, nil, t.Logf)
+	bal.Manage(rf, addr)
+	popts := parallel.Options{LoadBalance: true, Membership: bal}
 
 	eng := cluster.New(cluster.Config{Workers: 3})
-	res := parallel.MineFragments(context.Background(), att.Graph, frags, goldenOptions(), eng, parallel.Options{LoadBalance: true})
+	res := parallel.MineFragments(context.Background(), att.Graph, frags, goldenOptions(), eng, popts)
 	if got := canonicalizeResult(res.Result); got != want {
 		t.Fatalf("failover mining diverged from golden output.\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
-	if !rf.FailedOver() && !rf.Rejoined() {
+	if !rf.FailedOver() {
 		t.Fatal("server died mid-mine but the fragment never failed over")
 	}
 
-	// The worker recovers: restart its server on the original address.
-	m2, err := store.Open(fragPath)
-	if err != nil {
+	// The worker recovers: restart its server on the original address and
+	// re-announce it, as gfdfrag -announce -resurrect-after does.
+	s2 := restartServer(t, fragPath, addr)
+	if _, err := reg.Announce(1, addr, reg.Epoch()); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := NewServer(m2, ServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var l2 net.Listener
-	for i := 0; i < 50; i++ {
-		l2, err = net.Listen("tcp", addr)
-		if err == nil {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if err != nil {
-		t.Fatalf("rebind %s: %v", addr, err)
-	}
-	go s2.Serve(l2)
-	t.Cleanup(func() {
-		s2.Close()
-		m2.Close()
-	})
 
-	deadline := time.Now().Add(10 * time.Second)
-	for !rf.Rejoined() {
-		if time.Now().After(deadline) {
-			t.Fatal("fragment never failed back to the restarted server")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	// Mine again, now through the rejoined fragment: still golden, and
-	// the restarted server actually carried join traffic.
+	// Mine again: the first boundary adopts the server, so the run is
+	// golden and the restarted server carries join traffic.
 	eng2 := cluster.New(cluster.Config{Workers: 3})
-	res2 := parallel.MineFragments(context.Background(), att.Graph, frags, goldenOptions(), eng2, parallel.Options{LoadBalance: true})
+	res2 := parallel.MineFragments(context.Background(), att.Graph, frags, goldenOptions(), eng2, popts)
 	if got := canonicalizeResult(res2.Result); got != want {
-		t.Fatalf("post-failback mining diverged from golden output.\n--- got ---\n%s--- want ---\n%s", got, want)
+		t.Fatalf("post-rejoin mining diverged from golden output.\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+	if !rf.Rejoined() || rf.FailedOver() {
+		t.Fatalf("re-announced server not adopted: rejoined=%v failedOver=%v", rf.Rejoined(), rf.FailedOver())
 	}
 	if s2.Served() == 0 {
-		t.Fatal("post-failback mine never reached the restarted server")
+		t.Fatal("post-rejoin mine never reached the restarted server")
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/dataset"
 	"repro/internal/match"
 	"repro/internal/parallel"
@@ -230,14 +231,48 @@ func TestSectionsCompressionRoundTrip(t *testing.T) {
 	}
 }
 
+// restartServer serves fragPath again on addr — the address a killed
+// server just freed — retrying the rebind briefly, and returns the new
+// server (scheduled for cleanup).
+func restartServer(t *testing.T, fragPath, addr string) *Server {
+	t.Helper()
+	m, err := store.Open(fragPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewServer(m, ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var l net.Listener
+	for i := 0; i < 100; i++ {
+		if l, err = net.Listen("tcp", addr); err == nil {
+			break
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if err != nil {
+		t.Fatalf("rebind %s: %v", addr, err)
+	}
+	go s.Serve(l)
+	t.Cleanup(func() {
+		s.Close()
+		m.Close()
+	})
+	return s
+}
+
 // TestFailbackRejoins: the recovery ladder's closing loop. Kill the
-// server (failover to the spill attach), restart it on the same address,
-// and the prober must validate the handshake and resume remote serving —
-// with the shares still identical before, during and after.
+// server (failover to the spill attach), restart it on the same address
+// and re-announce it: the balancer's next boundary must validate the
+// handshake and resume remote serving — with the shares still identical
+// before, during and after. A restarted server that has not announced
+// stays unused, and an announcement that lands before the client has
+// noticed the death is still adopted once it has.
 func TestFailbackRejoins(t *testing.T) {
 	g := dataset.YAGO2Sim(120, 4)
 	dir := spillGraph(t, g, 2)
-	fragPath := filepath.Join(dir, parallel.FragmentSnapshotName(0))
+	fragPath := filepath.Join(dir, parallel.FragmentSnapshotName(1))
 	local, err := store.Open(fragPath)
 	if err != nil {
 		t.Fatal(err)
@@ -246,10 +281,16 @@ func TestFailbackRejoins(t *testing.T) {
 
 	addr, srv := startServer(t, fragPath, ServerOptions{})
 	rf := dialTest(t, addr, g, Options{
-		CallTimeout:      100 * time.Millisecond,
-		FallbackPath:     fragPath,
-		FailbackInterval: 10 * time.Millisecond,
+		CallTimeout:  100 * time.Millisecond,
+		FallbackPath: fragPath,
 	})
+	reg := cluster.NewRegistry()
+	w := rf.Info().Worker
+	if _, err := reg.Announce(w, addr, 0); err != nil {
+		t.Fatal(err)
+	}
+	bal := NewBalancer(reg, nil, t.Logf)
+	bal.Manage(rf, addr)
 
 	cases := testChildren(g)
 	check := func(stage string) {
@@ -268,108 +309,48 @@ func TestFailbackRejoins(t *testing.T) {
 	if !rf.FailedOver() {
 		t.Fatal("dead server did not trigger failover")
 	}
+	s2 := restartServer(t, fragPath, addr)
+	bal.ApplyAtBoundary()
+	if !rf.FailedOver() || rf.Rejoined() {
+		t.Fatal("a boundary without a new announcement moved the fragment")
+	}
 
-	// Restart the server on the same address. The port was just freed, but
-	// give the rebind a little patience anyway.
-	m2, err := store.Open(fragPath)
-	if err != nil {
+	if _, err := reg.Announce(w, addr, reg.Epoch()); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := NewServer(m2, ServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var l2 net.Listener
-	for i := 0; i < 50; i++ {
-		l2, err = net.Listen("tcp", addr)
-		if err == nil {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if err != nil {
-		t.Fatalf("rebind %s: %v", addr, err)
-	}
-	go s2.Serve(l2)
-	t.Cleanup(func() {
-		s2.Close()
-		m2.Close()
-	})
-
-	deadline := time.Now().Add(10 * time.Second)
-	for !rf.Rejoined() {
-		if time.Now().After(deadline) {
-			t.Fatal("fragment never failed back to the restarted server")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if rf.FailedOver() {
-		t.Fatal("rejoined fragment still reports failed-over")
+	bal.ApplyAtBoundary()
+	if rf.FailedOver() || !rf.Rejoined() {
+		t.Fatalf("re-announced server not adopted: failedOver=%v rejoined=%v", rf.FailedOver(), rf.Rejoined())
 	}
 	served := s2.Served()
-	check("after failback")
+	check("after rejoin")
 	if s2.Served() <= served {
-		t.Fatal("post-failback shares never reached the restarted server")
+		t.Fatal("post-rejoin shares never reached the restarted server")
 	}
 	if err := rf.Healthy(context.Background()); err != nil {
-		t.Fatalf("restarted server unhealthy after failback: %v", err)
-	}
-}
-
-// TestFailbackRejectsImposter: a server that comes back on the dead
-// address serving a different graph must be refused — the fragment stays
-// on its validated local attach.
-func TestFailbackRejectsImposter(t *testing.T) {
-	g := dataset.DBpediaSim(100, 1)
-	other := dataset.DBpediaSim(100, 2)
-	dir := spillGraph(t, g, 2)
-	otherDir := spillGraph(t, other, 2)
-	fragPath := filepath.Join(dir, parallel.FragmentSnapshotName(0))
-
-	addr, srv := startServer(t, fragPath, ServerOptions{})
-	rf := dialTest(t, addr, g, Options{
-		CallTimeout:      100 * time.Millisecond,
-		FallbackPath:     fragPath,
-		FailbackInterval: 10 * time.Millisecond,
-	})
-	srv.Close()
-	tc := testChildren(g)[0]
-	rf.ExtendIndexed(match.EdgeMatches(g, tc.parent, nil), tc.child) // forces failover
-	if !rf.FailedOver() {
-		t.Fatal("dead server did not trigger failover")
+		t.Fatalf("restarted server unhealthy after rejoin: %v", err)
 	}
 
-	// An imposter takes over the freed address, serving another graph's
-	// fragment.
-	m2, err := store.Open(filepath.Join(otherDir, parallel.FragmentSnapshotName(0)))
-	if err != nil {
+	// Second death: this time the server is back and re-announced before
+	// the client has tried it, so the announcement reaches the balancer
+	// while the fragment still looks live.
+	s2.Close()
+	s3 := restartServer(t, fragPath, addr)
+	if _, err := reg.Announce(w, addr, reg.Epoch()); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := NewServer(m2, ServerOptions{})
-	if err != nil {
-		t.Fatal(err)
+	bal.ApplyAtBoundary()
+	rf.FailOver(fmt.Errorf("connection lost"))
+	bal.ApplyAtBoundary()
+	if rf.FailedOver() {
+		t.Fatal("announcement seen before the failover was never adopted")
 	}
-	var l2 net.Listener
-	for i := 0; i < 50; i++ {
-		l2, err = net.Listen("tcp", addr)
-		if err == nil {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
+	served = s3.Served()
+	check("after second rejoin")
+	if s3.Served() <= served {
+		t.Fatal("post-rejoin shares never reached the second restarted server")
 	}
-	if err != nil {
-		t.Fatalf("rebind %s: %v", addr, err)
-	}
-	go s2.Serve(l2)
-	t.Cleanup(func() {
-		s2.Close()
-		m2.Close()
-	})
-
-	// Give the prober several cycles against the imposter; the fragment
-	// must not rejoin it.
-	time.Sleep(200 * time.Millisecond)
-	if rf.Rejoined() || !rf.FailedOver() {
-		t.Fatal("fragment failed back to a server holding a different graph")
+	if bal.Adoptions() != 2 {
+		t.Fatalf("%d adoptions, want 2", bal.Adoptions())
 	}
 }

@@ -26,9 +26,10 @@
 // declared dead and the coordinator fails over by re-attaching the
 // worker's spilled frag-N.gfds locally (the spill file is the recovery
 // unit), after which the superstep resumes with a local view and mining
-// output is unchanged. Failover closes the loop with failback: a
-// failed-over fragment keeps probing its server and, on a
-// fingerprint-validated reconnect, resumes remote serving (client.go).
+// output is unchanged. A restarted server closes the loop by
+// re-announcing to the coordinator's registry: the balancer adopts it at
+// the next superstep boundary and, on a fingerprint-validated handshake,
+// the fragment resumes remote serving (balancer.go, client.go).
 //
 // # Framing
 //
@@ -476,6 +477,12 @@ func decodeExtend(b []byte) (*match.Table, *pattern.Pattern, error) {
 			return nil, nil, fmt.Errorf("remote: edge endpoint out of range")
 		}
 	}
+	// The join kernel assumes the child is the parent plus one edge: at
+	// least one bound variable, and a last edge that either closes two
+	// bound variables or links exactly one bound variable to the new one.
+	if err := checkExtendShape(n, nv, child.LastEdge()); err != nil {
+		return nil, nil, err
+	}
 	cols := make([][]graph.NodeID, nv)
 	for v := range cols {
 		raw := r.take(4 * rows)
@@ -504,6 +511,20 @@ func decodeExtend(b []byte) (*match.Table, *pattern.Pattern, error) {
 		return nil, nil, err
 	}
 	return t, child, nil
+}
+
+// checkExtendShape vets the last edge e of an n-variable child over nv
+// bound variables; e's endpoints are already known to be < n, so a
+// closing edge (nv == n) joins two bound variables, and a new-variable
+// edge (nv == n-1) must touch the new variable nv exactly once.
+func checkExtendShape(n, nv int, e pattern.Edge) error {
+	if nv < 1 {
+		return fmt.Errorf("remote: malformed extend request: no bound variables")
+	}
+	if nv < n && (e.Src == nv) == (e.Dst == nv) {
+		return fmt.Errorf("remote: malformed extend request: new variable %d, last edge %d->%d", nv, e.Src, e.Dst)
+	}
+	return nil
 }
 
 func encodeExtendOK(ext match.IndexedExt) []byte {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/store"
 )
 
 // RegistryServerOptions configures the coordinator's membership endpoint.
@@ -167,6 +168,23 @@ func (s *RegistryServer) admit(a AnnounceInfo) (uint64, error) {
 	}
 	s.logf("registry: worker %d announced at %s (epoch %d)", a.Worker, a.Addr, epoch)
 	return epoch, nil
+}
+
+// FragmentAnnounceInfo describes the spilled fragment m served at addr:
+// the identity a registry vets an announcement by.
+func FragmentAnnounceInfo(m *store.MappedGraph, addr string) (AnnounceInfo, error) {
+	fi, has := m.Fragment()
+	if !has {
+		return AnnounceInfo{}, fmt.Errorf("remote: snapshot carries no fragment metadata (not a frag-N.gfds spill file?)")
+	}
+	return AnnounceInfo{
+		Worker:      fi.Worker,
+		Addr:        addr,
+		NodeLo:      fi.NodeLo,
+		NodeHi:      fi.NodeHi,
+		NumEdges:    m.NumEdges(),
+		Fingerprint: Fingerprint(m),
+	}, nil
 }
 
 // Announce dials a coordinator's registry endpoint and announces a

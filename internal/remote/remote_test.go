@@ -529,3 +529,61 @@ func TestParseFaultSpec(t *testing.T) {
 		t.Fatalf("empty spec: (%+v, %v)", f, err)
 	}
 }
+
+// TestDecodeExtendShapes: extend frames whose child is not the parent
+// plus one edge are refused at decode, and the server answers them with
+// msgError instead of running the join kernel on a shape it assumes away.
+func TestDecodeExtendShapes(t *testing.T) {
+	g := dataset.DBpediaSim(100, 42)
+	dir := spillGraph(t, g, 2)
+	m, err := store.Open(filepath.Join(dir, parallel.FragmentSnapshotName(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	s, err := NewServer(m, ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	edge := func(src, dst int) pattern.Edge { return pattern.Edge{Src: src, Dst: dst, Label: pattern.Wildcard} }
+	frame := func(n, nv int, edges ...pattern.Edge) []byte {
+		labels := make([]string, n)
+		for i := range labels {
+			labels[i] = pattern.Wildcard
+		}
+		child := &pattern.Pattern{NodeLabels: labels, Edges: edges}
+		cols := make([][]graph.NodeID, nv)
+		for v := range cols {
+			cols[v] = []graph.NodeID{graph.NodeID(v), graph.NodeID(v + 1)}
+		}
+		parent := &pattern.Pattern{NodeLabels: labels[:nv], Edges: edges[:len(edges)-1]}
+		tb, err := match.FromCols(parent, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return encodeExtend(tb, child)
+	}
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		ok      bool
+	}{
+		{"new variable, outgoing", frame(2, 1, edge(0, 1)), true},
+		{"new variable, incoming", frame(2, 1, edge(1, 0)), true},
+		{"closing edge", frame(2, 2, edge(0, 1), edge(1, 0)), true},
+		{"no bound variables", frame(1, 0, edge(0, 0)), false},
+		{"new-variable self loop", frame(2, 1, edge(1, 1)), false},
+		{"new variable not on the last edge", frame(2, 1, edge(0, 0)), false},
+	} {
+		_, _, err := decodeExtend(tc.payload)
+		if (err == nil) != tc.ok {
+			t.Fatalf("%s: decode err = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		typ, _ := s.dispatch(msgExtend, tc.payload)
+		if want := map[bool]uint32{true: msgExtendOK, false: msgError}[tc.ok]; typ != want {
+			t.Fatalf("%s: server answered type %d, want %d", tc.name, typ, want)
+		}
+	}
+}

@@ -2,7 +2,6 @@ package remote
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -284,33 +283,4 @@ func (s *Server) sections(payload []byte) (uint32, []byte, error) {
 		return msgSectionsZ, z, nil
 	}
 	return msgSectionsOK, buf.Bytes(), nil
-}
-
-// ListenAndServe opens a fragment snapshot, listens on addr and serves
-// it. ready, if non-nil, receives the bound address (useful with :0).
-func ListenAndServe(fragPath, addr string, opts ServerOptions, ready chan<- net.Addr) error {
-	m, err := store.Open(fragPath)
-	if err != nil {
-		return err
-	}
-	defer m.Close()
-	if _, has := m.Fragment(); !has {
-		return fmt.Errorf("remote: %s carries no fragment metadata (not a frag-N.gfds spill file?)", fragPath)
-	}
-	s, err := NewServer(m, opts)
-	if err != nil {
-		return err
-	}
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	if ready != nil {
-		ready <- l.Addr()
-	}
-	err = s.Serve(l)
-	if errors.Is(err, net.ErrClosed) {
-		err = nil
-	}
-	return err
 }

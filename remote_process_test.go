@@ -9,6 +9,7 @@ package gfd
 import (
 	"bufio"
 	"context"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -230,10 +231,12 @@ func TestGoldenMiningRemoteProcessKilled(t *testing.T) {
 }
 
 // TestGoldenMiningRemoteProcessFailback: the full recovery loop across OS
-// processes. A gfdfrag with -die-after and -resurrect-after drops dead
-// mid-mine (failover to the spill file, run 1 golden), then rebinds its
-// original port; the failback-enabled coordinator rejoins it and a second
-// mine goes back over the wire — golden again.
+// processes. gfdfrag servers announce themselves to the coordinator's
+// registry; the victim, started with -die-after and -resurrect-after,
+// drops dead mid-mine (failover to the spill file, run 1 golden), then
+// rebinds its original port and re-announces. The balancer adopts it at
+// a superstep boundary, and a second mine goes back over the wire —
+// golden again.
 func TestGoldenMiningRemoteProcessFailback(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns OS processes")
@@ -253,36 +256,53 @@ func TestGoldenMiningRemoteProcessFailback(t *testing.T) {
 	}
 	defer att.Close()
 
+	reg := cluster.NewRegistry()
+	rs := remote.NewRegistryServer(reg, remote.RegistryServerOptions{Logf: t.Logf})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go rs.Serve(l)
+	defer rs.Close()
+	bal := remote.NewBalancer(reg, nil, t.Logf)
+
 	frags := make([]parallel.Fragment, workers)
 	copy(frags, att.Frags)
 	var victim *remote.RemoteFragment
 	for w := 1; w < workers; w++ {
 		fragPath := filepath.Join(dir, parallel.FragmentSnapshotName(w))
-		extra := []string{}
+		extra := []string{"-announce", l.Addr().String()}
 		if w == 1 {
 			// The victim dies partway through the Extend stream, then
-			// resurrects in-process on the same port.
-			extra = []string{"-die-after", "30", "-resurrect-after", "100ms"}
+			// resurrects in-process on the same port and re-announces.
+			extra = append(extra, "-die-after", "30", "-resurrect-after", "100ms")
 		}
 		addr, _ := startFragProcess(t, bin, fragPath, extra...)
 		rf, err := remote.Dial(context.Background(), addr, att.Graph, remote.Options{
-			FallbackPath:     fragPath,
-			CallTimeout:      500 * time.Millisecond,
-			Backoff:          remote.Backoff{Base: 2 * time.Millisecond, Max: 20 * time.Millisecond, Factor: 2, Jitter: 0.5, Attempts: 3},
-			FailbackInterval: 20 * time.Millisecond,
+			FallbackPath: fragPath,
+			CallTimeout:  500 * time.Millisecond,
+			Backoff:      remote.Backoff{Base: 2 * time.Millisecond, Max: 20 * time.Millisecond, Factor: 2, Jitter: 0.5, Attempts: 3},
 		})
 		if err != nil {
 			t.Fatalf("dial worker %d: %v", w, err)
 		}
 		defer rf.Close()
+		bal.Manage(rf, addr)
 		frags[w].Sub = rf
 		if w == 1 {
 			victim = rf
 		}
 	}
+	wctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	if err := reg.Wait(wctx, workers-1); err != nil {
+		t.Fatalf("servers never announced: %v", err)
+	}
+	first, _ := reg.Member(1)
+	popts := parallel.Options{LoadBalance: true, Membership: bal}
 
 	eng := cluster.New(cluster.Config{Workers: workers})
-	pr := parallel.MineFragments(context.Background(), att.Graph, frags, goldenOptions(), eng, parallel.Options{LoadBalance: true})
+	pr := parallel.MineFragments(context.Background(), att.Graph, frags, goldenOptions(), eng, popts)
 	if got := canonicalize(pr.Result); got != want {
 		t.Fatalf("mining with a dying server diverged from golden output.\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
@@ -290,22 +310,28 @@ func TestGoldenMiningRemoteProcessFailback(t *testing.T) {
 		t.Fatal("victim server died but its fragment never failed over")
 	}
 
-	// The resurrected process is back on its port; wait for the prober to
-	// validate and rejoin it.
+	// The resurrected process is back on its port; wait for its fresh
+	// announcement.
 	deadline := time.Now().Add(15 * time.Second)
-	for !victim.Rejoined() {
+	for {
+		if m, ok := reg.Member(1); ok && m.Joined > first.Joined {
+			break
+		}
 		if time.Now().After(deadline) {
-			t.Fatal("fragment never failed back to the resurrected gfdfrag")
+			t.Fatal("the resurrected gfdfrag never re-announced")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 
 	eng2 := cluster.New(cluster.Config{Workers: workers})
-	pr2 := parallel.MineFragments(context.Background(), att.Graph, frags, goldenOptions(), eng2, parallel.Options{LoadBalance: true})
+	pr2 := parallel.MineFragments(context.Background(), att.Graph, frags, goldenOptions(), eng2, popts)
 	if got := canonicalize(pr2.Result); got != want {
-		t.Fatalf("post-failback mining diverged from golden output.\n--- got ---\n%s--- want ---\n%s", got, want)
+		t.Fatalf("post-rejoin mining diverged from golden output.\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+	if !victim.Rejoined() || victim.FailedOver() {
+		t.Fatalf("re-announced gfdfrag not adopted: rejoined=%v failedOver=%v", victim.Rejoined(), victim.FailedOver())
 	}
 	if stats := eng2.Stats(); stats.MeasuredBytes == 0 {
-		t.Fatal("post-failback mine measured no wire traffic; the rejoined server saw no shares")
+		t.Fatal("post-rejoin mine measured no wire traffic")
 	}
 }
