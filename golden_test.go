@@ -191,3 +191,30 @@ func TestGoldenMiningSkewed(t *testing.T) {
 		}
 	}
 }
+
+// TestGoldenFunnelCounters checks the candidate funnel on the golden
+// graphs: the four prune reasons partition CandidatesPruned, so every
+// pruned candidate is attributed to exactly one of them.
+func TestGoldenFunnelCounters(t *testing.T) {
+	skewed := dataset.Synthetic(dataset.SyntheticConfig{Nodes: 300, Edges: 1500, Seed: 8, Skew: 1.2})
+	skewedOpts := DiscoverOptions{K: 2, Support: 5, MaxX: 1, ConstantsPerAttr: 3, WildcardNodes: true, MaxNegatives: 150}
+	for _, run := range []struct {
+		name string
+		g    *Graph
+		opts DiscoverOptions
+	}{
+		{"golden", loadGoldenGraph(t), goldenOptions()},
+		{"skewed", skewed, skewedOpts},
+	} {
+		st := Discover(run.g, run.opts).Stats
+		sum := st.PrunedTrivial + st.PrunedSubsumed + st.PrunedInfrequent + st.PrunedReduced
+		if st.CandidatesPruned == 0 || sum != st.CandidatesPruned {
+			t.Errorf("%s: prune reasons %d+%d+%d+%d = %d, CandidatesPruned = %d", run.name,
+				st.PrunedTrivial, st.PrunedSubsumed, st.PrunedInfrequent, st.PrunedReduced, sum, st.CandidatesPruned)
+		}
+		if st.CandidatesSpawned != st.CandidatesChecked+st.PrunedTrivial+st.PrunedSubsumed {
+			t.Errorf("%s: spawned %d ≠ checked %d + trivial %d + subsumed %d", run.name,
+				st.CandidatesSpawned, st.CandidatesChecked, st.PrunedTrivial, st.PrunedSubsumed)
+		}
+	}
+}

@@ -396,6 +396,19 @@ func MicroSpecs() []MicroSpec {
 				}
 			}
 		}},
+		{"Cover/dbpedia", func(b *testing.B) {
+			// SeqCover over Σ mined from DBpediaSim(1000) at the harness
+			// setting (about 1,400 GFDs on 100 patterns, negatives and
+			// wildcard patterns included).
+			sigma := coverSigma()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if len(discovery.Cover(sigma)) == 0 {
+					b.Fatal("empty cover")
+				}
+			}
+		}},
 		{"MatchesAt", func(b *testing.B) {
 			e := microWorkload()
 			var cands []graph.NodeID
@@ -466,6 +479,26 @@ func MicroSpecs() []MicroSpec {
 		}},
 	}
 	return append(specs, remoteMicroSpecs()...)
+}
+
+var (
+	coverOnce sync.Once
+	coverGFDs []*core.GFD
+)
+
+// coverSigma mines the Cover micro's input once: DBpediaSim(1000, 42) at
+// k=3, σ=80, Γ = top-5 attributes, 5 constants, |X| ≤ 1, wildcards, and
+// 30 patterns per level.
+func coverSigma() []*core.GFD {
+	coverOnce.Do(func() {
+		opts := discovery.Options{
+			K: 3, Support: 80, ConstantsPerAttr: 5, MaxX: 1, WildcardNodes: true,
+			MaxExtensionsPerPattern: 20, MaxPatternsPerLevel: 30, MaxLevels: 4,
+			MaxNegatives: 300, MaxTableRows: 300000,
+		}
+		coverGFDs = discovery.Mine(dataset.DBpediaSim(1000, 42), opts).All()
+	})
+	return coverGFDs
 }
 
 // CleanupMicro removes the temp snapshot file the workload wrote for the

@@ -82,11 +82,14 @@ func TestDiscoverRemoteGolden(t *testing.T) {
 // TestDiscoverRemoteRestartRejoin: every in-process server dies mid-mine
 // and comes back; the fragments fail over to their spill files, the
 // restarted servers re-announce, and the balancer adopts them at a
-// superstep boundary — golden output throughout.
+// superstep boundary — golden output throughout. The restart delay must
+// outlast the client's retries (below about 110 ms a retry reaches the
+// restarted server and nothing fails over) and end well before the run
+// does (the golden mine takes about 250 ms on two cores).
 func TestDiscoverRemoteRestartRejoin(t *testing.T) {
 	g, want := loadGolden(t)
 	rep, err := DiscoverRemote(g, goldenOptions(), 3, t.TempDir(),
-		RemoteRuntime{DieAfter: 5, RestartAfter: 300 * time.Millisecond})
+		RemoteRuntime{DieAfter: 5, RestartAfter: 160 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

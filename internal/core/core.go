@@ -169,15 +169,9 @@ func SubsetLiterals(a, b []Literal) bool {
 // satisfied (it equates one term with two distinct constants), or the
 // right-hand side already follows from X by transitivity of equality alone.
 func (g *GFD) Trivial() bool {
-	cl := newClosure(g.Q.N())
+	var cl Closure
 	for _, l := range g.X {
 		cl.assert(l)
-	}
-	if cl.conflicting {
-		return true
-	}
-	if g.RHS.Kind == LFalse {
-		return false // X satisfiable, RHS false: a genuine negative GFD
 	}
 	return cl.holds(g.RHS)
 }

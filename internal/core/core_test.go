@@ -168,7 +168,7 @@ func TestReducesGFD(t *testing.T) {
 }
 
 func TestClosureTransitivity(t *testing.T) {
-	cl := newClosure(3)
+	cl := &Closure{}
 	cl.assert(Vars(0, "a", 1, "b"))
 	cl.assert(Vars(1, "b", 2, "c"))
 	if !cl.holds(Vars(0, "a", 2, "c")) {
@@ -191,7 +191,7 @@ func TestClosureTransitivity(t *testing.T) {
 }
 
 func TestClosureUnknownTerms(t *testing.T) {
-	cl := newClosure(2)
+	cl := &Closure{}
 	cl.assert(Const(0, "a", "v"))
 	if cl.holds(Const(1, "b", "v")) {
 		t.Fatal("unasserted term must not hold")

@@ -1,6 +1,7 @@
 package discovery
 
 import (
+	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
@@ -96,6 +97,7 @@ type SeqBackend struct {
 	stats    *Stats
 	liveRows int
 	vc       *ValueCounter // reusable constant-count scratch (Constants is driver-serial)
+	pc       *pivotCounter // reusable distinct-pivot scratch (the miner evaluates one pattern at a time)
 }
 
 // NewSeqBackend returns a sequential backend over v. maxRows caps match
@@ -347,9 +349,15 @@ func TopConstants(counts map[string]int, max int) []string {
 	return vals
 }
 
-// Evaluate implements Backend.
+// Evaluate implements Backend. Every evaluator shares the backend's
+// pivot counter: the miner runs one pattern's lattice at a time.
 func (b *SeqBackend) Evaluate(h Handle, pool []core.Literal) Evaluator {
-	return NewTableEval(b.v, h.(*seqHandle).table, pool)
+	if b.pc == nil {
+		b.pc = newPivotCounter(b.v.NumNodes())
+	}
+	e := NewTableEval(b.v, h.(*seqHandle).table, pool)
+	e.pc = b.pc
+	return e
 }
 
 // TableEval indexes literal satisfaction per match row as bitsets and
@@ -363,6 +371,7 @@ type TableEval struct {
 	sat    []Bitset       // per pool literal
 	full   Bitset         // all rows
 	buf    Bitset         // scratch for AND(X)
+	pc     *pivotCounter  // distinct-pivot scratch of SupportXl/SupportX, made on first use
 	pool   []core.Literal
 	// attrPresent caches attribute presence per (variable, attribute).
 	attrPresent map[attrKey]bool
@@ -411,27 +420,12 @@ func (e *TableEval) Violated(x []int, l int) bool {
 	return e.andX(x).AnyAndNot(e.sat[l])
 }
 
-// PivotsXl returns the distinct pivots of rows satisfying X ∧ l — the
-// local support set a ParDis worker ships to the master.
-func (e *TableEval) PivotsXl(x []int, l int) map[graph.NodeID]struct{} {
-	seen := make(map[graph.NodeID]struct{})
-	e.ForEachPivotXl(x, l, func(v graph.NodeID) { seen[v] = struct{}{} })
-	return seen
-}
-
 // ForEachPivotXl streams the pivots (with row-level repeats) of rows
 // satisfying X ∧ l; the caller deduplicates. Avoids per-call allocation on
 // the parallel hot path.
 func (e *TableEval) ForEachPivotXl(x []int, l int, fn func(graph.NodeID)) {
 	ax := e.andX(x)
 	ax.ForEachAnd(e.sat[l], func(i int) { fn(e.pivots[i]) })
-}
-
-// PivotsX returns the distinct pivots of rows satisfying X.
-func (e *TableEval) PivotsX(x []int) map[graph.NodeID]struct{} {
-	seen := make(map[graph.NodeID]struct{})
-	e.ForEachPivotX(x, func(v graph.NodeID) { seen[v] = struct{}{} })
-	return seen
 }
 
 // ForEachPivotX streams the pivots of rows satisfying X.
@@ -441,10 +435,66 @@ func (e *TableEval) ForEachPivotX(x []int, fn func(graph.NodeID)) {
 }
 
 // SupportXl implements Evaluator.
-func (e *TableEval) SupportXl(x []int, l int) int { return len(e.PivotsXl(x, l)) }
+func (e *TableEval) SupportXl(x []int, l int) int {
+	return e.countPivots(e.andX(x), e.sat[l])
+}
 
 // SupportX implements Evaluator.
-func (e *TableEval) SupportX(x []int) int { return len(e.PivotsX(x)) }
+func (e *TableEval) SupportX(x []int) int {
+	ax := e.andX(x)
+	return e.countPivots(ax, ax)
+}
+
+// countPivots counts the distinct pivots of the rows set in both a and b.
+func (e *TableEval) countPivots(a, b Bitset) int {
+	if e.pc == nil {
+		e.pc = newPivotCounter(e.g.NumNodes())
+	}
+	c := e.pc
+	c.reset()
+	for wi, w := range a {
+		w &= b[wi]
+		for w != 0 {
+			c.add(e.pivots[wi<<6|bits.TrailingZeros64(w)])
+			w &= w - 1
+		}
+	}
+	return c.n
+}
+
+// pivotCounter counts distinct pivots in a buffer of generation stamps
+// indexed by NodeID: reset is one increment, not a clear, so one counter
+// serves every support query of a run without allocating. Its size is
+// one word per graph node, independent of table sizes.
+type pivotCounter struct {
+	stamp []uint32
+	gen   uint32
+	n     int
+}
+
+// newPivotCounter returns a counter for the NodeIDs of a view with
+// numNodes nodes.
+func newPivotCounter(numNodes int) *pivotCounter {
+	return &pivotCounter{stamp: make([]uint32, numNodes), gen: 1}
+}
+
+// reset starts a new count.
+func (c *pivotCounter) reset() {
+	c.n = 0
+	c.gen++
+	if c.gen == 0 { // wrapped: old stamps could collide with new ones
+		clear(c.stamp)
+		c.gen = 1
+	}
+}
+
+// add counts v if it is new to the current count.
+func (c *pivotCounter) add(v graph.NodeID) {
+	if c.stamp[v] != c.gen {
+		c.stamp[v] = c.gen
+		c.n++
+	}
+}
 
 // CoHolds implements Evaluator.
 func (e *TableEval) CoHolds(x []int) []bool {

@@ -9,33 +9,46 @@ import (
 // Cover computes a cover Σc of Σ (algorithm SeqCover of Section 5.2): a
 // minimal subset equivalent to Σ. For each φ it tests Σ\{φ} ⊨ φ with the
 // closure characterisation of GFD implication and removes φ if implied,
-// iterating until no more GFDs can be removed.
+// iterating until no more GFDs can be removed. One core.Implier serves
+// every test of the run, so each (sub, host) pattern pair's embeddings
+// are enumerated once, not once per test.
 //
 // The order of inspection is deterministic: GFDs with larger patterns and
 // longer premises are inspected first, so the cover retains the most
 // general members of each implication-equivalent family.
 func Cover(sigma []*core.GFD) []*core.GFD {
-	work := append([]*core.GFD(nil), sigma...)
 	// Most-specific first: these are the ones redundant w.r.t. general rules.
-	sort.SliceStable(work, func(i, j int) bool {
-		a, b := work[i], work[j]
+	type keyed struct {
+		g   *core.GFD
+		key string
+	}
+	order := make([]keyed, len(sigma))
+	for i, g := range sigma {
+		order[i] = keyed{g, g.Key()}
+	}
+	sort.SliceStable(order, func(i, j int) bool {
+		a, b := order[i].g, order[j].g
 		if a.Size() != b.Size() {
 			return a.Size() > b.Size()
 		}
 		if len(a.X) != len(b.X) {
 			return len(a.X) > len(b.X)
 		}
-		return a.Key() > b.Key()
+		return order[i].key > order[j].key
 	})
+	work := make([]*core.GFD, len(order))
+	for i, o := range order {
+		work[i] = o.g
+	}
+	im := core.NewImplier()
+	rest := make([]*core.GFD, 0, len(work))
 	for changed := true; changed; {
 		changed = false
 		for i := 0; i < len(work); i++ {
 			phi := work[i]
-			rest := make([]*core.GFD, 0, len(work)-1)
-			rest = append(rest, work[:i]...)
-			rest = append(rest, work[i+1:]...)
-			if core.Implies(rest, phi) {
-				work = rest
+			rest = append(append(rest[:0], work[:i]...), work[i+1:]...)
+			if im.Implies(rest, phi) {
+				work, rest = rest, work // rest becomes the next scratch
 				changed = true
 				i--
 			}

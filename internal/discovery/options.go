@@ -125,7 +125,11 @@ type Stats struct {
 	PatternsPruned    int // infrequent patterns cut by Lemma 4(c)
 	CandidatesSpawned int // GFD candidates generated by HSpawn
 	CandidatesChecked int // candidates validated against the graph
-	CandidatesPruned  int // candidates skipped by Lemma 4(a,b) / minimality
+	CandidatesPruned  int // candidates pruned for any reason: the sum of the four below
+	PrunedTrivial     int // trivial candidates, Lemma 4(a)
+	PrunedSubsumed    int // supersets of a verified X, Lemma 4(b)
+	PrunedInfrequent  int // verified minimal candidates below σ
+	PrunedReduced     int // verified frequent candidates reduced (≪) by a mined GFD
 	NegativesSpawned  int // negative candidates from NVSpawn/NHSpawn
 	MaxTableRows      int // largest match table materialised
 	TotalTableRows    int // sum of materialised table rows

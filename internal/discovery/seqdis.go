@@ -1,7 +1,9 @@
 package discovery
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -62,6 +64,7 @@ type miner struct {
 	negKeys  map[string]bool
 	posKeys  map[string]bool
 	budget   int // remaining candidate budget; -1 = unlimited
+	lat      lattice
 }
 
 func mineWithBackend(b Backend, prof *Profile, opts Options, res *Result) {
@@ -339,108 +342,216 @@ func (m *miner) hspawn(pn *patNode) {
 	ev := m.b.Evaluate(pn.h, pool)
 	defer ev.Release()
 
+	m.lat.reset(pool)
 	for li := range pool {
-		m.literalTree(pn, ev, pool, li)
+		m.literalTree(pn, ev, li)
 		if m.res.Stats.BudgetExhausted {
 			return
 		}
 	}
 }
 
-// literalTree grows the literal tree rooted at RHS literal pool[li].
-func (m *miner) literalTree(pn *patNode, ev Evaluator, pool []core.Literal, li int) {
-	type xset []int // sorted pool indexes
-	frontier := []xset{{}}
-	var minimalValid []xset // X sets with G ⊨ Q(X → l): children are non-reduced
+// lattice is the reusable scratch of one pattern's literal trees: X-sets
+// are runs of pool indexes in flat arenas, and triviality is decided on
+// closures that are copied and extended. Once the arenas have grown, the
+// only per-candidate allocation left is the map key of a verified X-set
+// below the last level.
+type lattice struct {
+	pool      []core.Literal
+	cur, next []int // one level's X-sets, each len(X) indexes, back to back
 
-	subsumed := func(x xset) bool {
-		for _, v := range minimalValid {
-			if isSubset(v, x) {
-				return true
-			}
+	// valid holds the tree's minimal valid X-sets below the current
+	// level, keyed by their packed indexes (packX): X is subsumed iff one
+	// of its 2^|X| subsets is a key, whatever the number of valid sets.
+	valid map[string]struct{}
+	key   []byte
+
+	// parent holds the closure of parentX, the X-set minus its last
+	// literal: a level's X-sets arrive grouped by parent, so each
+	// candidate's closure is one copy plus one assert.
+	parentX   []int
+	hasParent bool
+	parent    core.Closure
+	cl        core.Closure // closure of the current X
+	neg       core.Closure // closure of X ∪ {l′} for NHSpawn
+}
+
+// reset prepares the lattice for the trees over pool.
+func (lt *lattice) reset(pool []core.Literal) {
+	lt.pool = pool
+	lt.hasParent = false
+}
+
+// closureOf returns the closure of X (sorted pool indexes), extending the
+// cached closure of X's parent by X's last literal. The result is valid
+// until the next call.
+func (lt *lattice) closureOf(x []int) *core.Closure {
+	if len(x) == 0 {
+		lt.cl.Reset()
+		return &lt.cl
+	}
+	px := x[:len(x)-1]
+	if !lt.hasParent || !slices.Equal(px, lt.parentX) {
+		lt.parent.Reset()
+		for _, j := range px {
+			lt.parent.Assert(lt.pool[j])
 		}
+		lt.parentX = append(lt.parentX[:0], px...)
+		lt.hasParent = true
+	}
+	lt.cl.CopyFrom(&lt.parent)
+	lt.cl.Assert(lt.pool[x[len(x)-1]])
+	return &lt.cl
+}
+
+// trivial reports whether Q(X → pool[l]) is trivial (Section 4.1): X is
+// unsatisfiable or derives l by transitivity. It agrees with
+// (*core.GFD).Trivial without building the GFD.
+func (lt *lattice) trivial(x []int, l int) bool {
+	return lt.closureOf(x).Holds(lt.pool[l])
+}
+
+// conflicts reports whether X ∪ {pool[j]} is unsatisfiable, given xcl,
+// the closure of X: the negative Q(X ∪ {pool[j]} → false) is trivial.
+func (lt *lattice) conflicts(xcl *core.Closure, j int) bool {
+	lt.neg.CopyFrom(xcl)
+	lt.neg.Assert(lt.pool[j])
+	return lt.neg.Conflicting()
+}
+
+// packX packs the members of x selected by mask (bit i selects x[i])
+// into the lattice's key buffer.
+func (lt *lattice) packX(x []int, mask uint64) []byte {
+	lt.key = lt.key[:0]
+	for i, j := range x {
+		if mask>>i&1 != 0 {
+			lt.key = binary.LittleEndian.AppendUint32(lt.key, uint32(j))
+		}
+	}
+	return lt.key
+}
+
+// addValid records x as a minimal valid X-set.
+func (lt *lattice) addValid(x []int) {
+	if lt.valid == nil {
+		lt.valid = make(map[string]struct{})
+	}
+	lt.valid[string(lt.packX(x, 1<<len(x)-1))] = struct{}{}
+}
+
+// subsumed reports whether some minimal valid X-set is a subset of x.
+func (lt *lattice) subsumed(x []int) bool {
+	if len(lt.valid) == 0 {
 		return false
 	}
+	for mask := uint64(0); mask < 1<<len(x); mask++ {
+		if _, ok := lt.valid[string(lt.packX(x, mask))]; ok {
+			return true
+		}
+	}
+	return false
+}
 
-	for j := 0; j <= m.opts.MaxX && len(frontier) > 0; j++ {
-		var next []xset
-		for _, x := range frontier {
-			m.res.Stats.CandidatesSpawned++
-			if m.budget == 0 {
-				m.res.Stats.BudgetExhausted = true
+// literalTree grows the literal tree rooted at RHS literal pool[li], one
+// level of X-sets at a time, up to |X| = MaxX.
+func (m *miner) literalTree(pn *patNode, ev Evaluator, li int) {
+	st := &m.res.Stats
+	lt := &m.lat
+	pool := lt.pool
+	lt.cur = lt.cur[:0]
+	clear(lt.valid)
+
+	n := 1 // level 0 holds only the empty X
+	for j := 0; j <= m.opts.MaxX && n > 0; j++ {
+		lt.next = lt.next[:0]
+		// expand appends the children of x: X extended with each literal
+		// above its maximum index, so every subset is generated once.
+		// The last level has no children to generate.
+		expand := func(x []int) {
+			if j == m.opts.MaxX {
 				return
 			}
-			expand := func() {
-				// Extend X with literals above its maximum index (each
-				// subset is generated exactly once).
-				base := -1
-				if len(x) > 0 {
-					base = x[len(x)-1]
-				}
-				for nj := base + 1; nj < len(pool); nj++ {
-					if nj == li {
-						continue
-					}
-					nx := make(xset, len(x), len(x)+1)
-					copy(nx, x)
-					nx = append(nx, nj)
-					next = append(next, nx)
+			base := -1
+			if j > 0 {
+				base = x[j-1]
+			}
+			for nj := base + 1; nj < len(pool); nj++ {
+				if nj != li {
+					lt.next = append(append(lt.next, x...), nj)
 				}
 			}
-			sub := subsumed(x)
+		}
+		for i := 0; i < n; i++ {
+			x := lt.cur[i*j : (i+1)*j]
+			st.CandidatesSpawned++
+			if m.budget == 0 {
+				st.BudgetExhausted = true
+				return
+			}
+			sub := lt.subsumed(x)
 			if sub && !m.opts.DisablePruning {
 				// Lemma 4(b): a superset of a verified X is not reduced, nor
 				// is any further superset — prune the whole branch.
-				m.res.Stats.CandidatesPruned++
+				m.prune(&st.PrunedSubsumed)
 				continue
 			}
-			phi := core.New(pn.p, literalsOf(pool, x), pool[li])
-			if phi.Trivial() {
+			if lt.trivial(x, li) {
 				// Lemma 4(a): trivial GFDs (unsatisfiable X, or RHS derived
 				// by transitivity) are never emitted; extensions of an
 				// unsatisfiable X stay unsatisfiable and extensions of a
 				// deriving X still derive l, so the branch dies with it —
 				// unless pruning is disabled (ParGFDn explores it anyway).
-				m.res.Stats.CandidatesPruned++
+				m.prune(&st.PrunedTrivial)
 				if m.opts.DisablePruning {
-					expand()
+					expand(x)
 				}
 				continue
 			}
-			m.res.Stats.CandidatesChecked++
+			st.CandidatesChecked++
 			if m.budget > 0 {
 				m.budget--
 			}
 			if !ev.Violated(x, li) {
 				if !sub {
-					minimalValid = append(minimalValid, x)
+					if j < m.opts.MaxX {
+						// Only later levels test subsumption.
+						lt.addValid(x)
+					}
 					supp := ev.SupportXl(x, li)
 					if supp >= m.opts.Support {
 						// NHSpawn's bases need only be verified and
 						// frequent (Φ′ of Section 4.2 requires G ⊨ φ′, not
 						// minimality), so it fires before the reduction
 						// test that gates Σ membership.
-						m.nhspawn(pn, ev, pool, x, supp)
+						m.nhspawn(pn, ev, x, supp)
+						phi := core.New(pn.p, literalsOf(pool, x), pool[li])
 						if !m.reducedBy(phi) {
 							m.emitPositive(phi, supp, pn)
 						} else {
-							m.res.Stats.CandidatesPruned++
+							m.prune(&st.PrunedReduced)
 						}
 					} else {
-						m.res.Stats.CandidatesPruned++
+						m.prune(&st.PrunedInfrequent)
 					}
 				}
 				// Verified: children are non-reduced either way (Lemma
 				// 4(b)); only the unpruned baseline keeps going.
 				if m.opts.DisablePruning {
-					expand()
+					expand(x)
 				}
 				continue
 			}
-			expand()
+			expand(x)
 		}
-		frontier = next
+		lt.cur, lt.next = lt.next, lt.cur
+		n = len(lt.cur) / (j + 1)
 	}
+}
+
+// prune counts one pruned candidate under its reason and in the total.
+func (m *miner) prune(reason *int) {
+	*reason++
+	m.res.Stats.CandidatesPruned++
 }
 
 // nhspawn emits the case (b) negative GFDs triggered by a verified
@@ -449,11 +560,12 @@ func (m *miner) literalTree(pn *patNode, ev Evaluator, pool []core.Literal, li i
 // Q(X ∪ {l′} → false) is a negative GFD with base support supp(φ).
 // Implausible literals — whose attribute never occurs at the variable — are
 // skipped: under OWA, wholly absent attributes carry no evidence.
-func (m *miner) nhspawn(pn *patNode, ev Evaluator, pool []core.Literal, x []int, baseSupp int) {
-	if m.opts.MaxNegatives < 0 ||
-		(m.opts.MaxNegatives > 0 && len(m.res.Negatives) >= m.opts.MaxNegatives) {
+func (m *miner) nhspawn(pn *patNode, ev Evaluator, x []int, baseSupp int) {
+	if m.negativesFull() {
 		return
 	}
+	pool := m.lat.pool
+	xcl := m.lat.closureOf(x)
 	co := ev.CoHolds(x)
 	for j, holds := range co {
 		if holds || contains(x, j) {
@@ -468,16 +580,18 @@ func (m *miner) nhspawn(pn *patNode, ev Evaluator, pool []core.Literal, x []int,
 		case core.LVar:
 			plausible = ev.AttrPresent(l.X, l.A) && ev.AttrPresent(l.Y, l.B)
 		}
-		if !plausible {
+		if !plausible || m.negativesFull() || m.lat.conflicts(xcl, j) {
 			continue
 		}
 		nx := append(literalsOf(pool, x), l)
-		phi := core.New(pn.p, nx, core.False())
-		if phi.Trivial() {
-			continue
-		}
-		m.emitNegative(phi, baseSupp, pn.level)
+		m.emitNegative(core.New(pn.p, nx, core.False()), baseSupp, pn.level)
 	}
+}
+
+// negativesFull reports whether no further negative GFD may be emitted.
+func (m *miner) negativesFull() bool {
+	return m.opts.MaxNegatives < 0 ||
+		(m.opts.MaxNegatives > 0 && len(m.res.Negatives) >= m.opts.MaxNegatives)
 }
 
 func (m *miner) emitPositive(phi *core.GFD, supp int, pn *patNode) {
@@ -492,13 +606,7 @@ func (m *miner) emitPositive(phi *core.GFD, supp int, pn *patNode) {
 }
 
 func (m *miner) emitNegative(phi *core.GFD, baseSupp, level int) {
-	if m.opts.MaxNegatives < 0 {
-		return
-	}
-	if m.opts.MaxNegatives > 0 && len(m.res.Negatives) >= m.opts.MaxNegatives {
-		return
-	}
-	if baseSupp < m.opts.Support {
+	if m.negativesFull() || baseSupp < m.opts.Support {
 		return
 	}
 	key := phi.Key()
@@ -545,17 +653,6 @@ func literalsOf(pool []core.Literal, idx []int) []core.Literal {
 		out[i] = pool[j]
 	}
 	return out
-}
-
-func isSubset(a, b []int) bool {
-	// both sorted
-	i := 0
-	for _, v := range b {
-		if i < len(a) && a[i] == v {
-			i++
-		}
-	}
-	return i == len(a)
 }
 
 func contains(xs []int, v int) bool {

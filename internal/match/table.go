@@ -2,6 +2,7 @@ package match
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/bitset"
 	"repro/internal/graph"
@@ -313,9 +314,11 @@ func (t *Table) PivotSet() map[graph.NodeID]struct{} {
 
 // Support returns the number of distinct pivot images in the table. It is
 // a bitset scan of the pivot column: one pass finds the ID range, a second
-// counts first occurrences — no per-pivot map entries. When the pivots are
-// sparse over a wide ID range (zeroing the bitset would dominate), it
-// falls back to a map sized by the row count.
+// counts first occurrences — no per-pivot map entries. The bitset comes
+// from a pool shared by the level's extension workers, so a count
+// allocates nothing in steady state. When the pivots are sparse over a
+// wide ID range (zeroing the bitset would dominate), it falls back to a
+// map sized by the row count.
 func (t *Table) Support() int {
 	col := t.PivotCol()
 	if len(col) == 0 {
@@ -338,7 +341,14 @@ func (t *Table) Support() int {
 		}
 		return len(seen)
 	}
-	seen := bitset.New(span)
+	scratch := supportScratch.Get().(*bitset.Bitset)
+	seen := *scratch
+	if words := (span + 63) / 64; cap(seen) >= words {
+		seen = seen[:words]
+		clear(seen)
+	} else {
+		seen = bitset.New(span)
+	}
 	n := 0
 	for _, v := range col {
 		if i := int(v - minID); !seen.Get(i) {
@@ -346,5 +356,10 @@ func (t *Table) Support() int {
 			n++
 		}
 	}
+	*scratch = seen
+	supportScratch.Put(scratch)
 	return n
 }
+
+// supportScratch pools Support's bitsets.
+var supportScratch = sync.Pool{New: func() any { return new(bitset.Bitset) }}

@@ -177,8 +177,8 @@ func buildGroups(sigma []*core.GFD, tree map[string][]string) []*group {
 // parImp removes the redundant GFDs of one group: for each φ ∈ ΣQj it
 // tests Σ̄Qj \ {φ} ⊨ φ, dropping φ if implied, sequentially within the
 // group (most specific first, matching SeqCover's order). The embedded set
-// is precomputed per group, so the closure is chased directly without the
-// per-test EmbeddedIn scan of the naive algorithm.
+// is precomputed per group, and one core.Implier serves the group's tests,
+// so each pattern pair's embeddings are enumerated once.
 func parImp(g *group) []*core.GFD {
 	own := append([]*core.GFD(nil), g.own...)
 	sort.SliceStable(own, func(i, j int) bool {
@@ -189,6 +189,7 @@ func parImp(g *group) []*core.GFD {
 		return a.Key() > b.Key()
 	})
 	removed := make(map[*core.GFD]bool)
+	im := core.NewImplier()
 	for _, phi := range own {
 		rest := make([]*core.GFD, 0, len(g.embbed)-1)
 		for _, psi := range g.embbed {
@@ -196,8 +197,7 @@ func parImp(g *group) []*core.GFD {
 				rest = append(rest, psi)
 			}
 		}
-		cl := core.ComputeClosure(rest, phi.Q, phi.X)
-		if cl.Conflicting() || (phi.RHS.Kind != core.LFalse && cl.Holds(phi.RHS)) {
+		if im.Implies(rest, phi) {
 			removed[phi] = true
 		}
 	}
@@ -219,12 +219,13 @@ func coverNoGrouping(sigma []*core.GFD, eng *cluster.Engine) *CoverResult {
 	redundant := make([]map[int]bool, n)
 	eng.Superstep("ParImp (no grouping)", func(w int) {
 		red := make(map[int]bool)
+		im := core.NewImplier()
 		for i := w; i < len(sigma); i += n {
 			phi := sigma[i]
 			rest := make([]*core.GFD, 0, len(sigma)-1)
 			rest = append(rest, sigma[:i]...)
 			rest = append(rest, sigma[i+1:]...)
-			if core.Implies(rest, phi) {
+			if im.Implies(rest, phi) {
 				red[i] = true
 			}
 			eng.Ship(w, int64(64*len(sigma))) // each test receives all of Σ
@@ -233,6 +234,7 @@ func coverNoGrouping(sigma []*core.GFD, eng *cluster.Engine) *CoverResult {
 	})
 	var cover []*core.GFD
 	eng.Master("repair", func() {
+		im := core.NewImplier()
 		removed := make(map[int]bool)
 		for _, red := range redundant {
 			for i := range red {
@@ -247,7 +249,7 @@ func coverNoGrouping(sigma []*core.GFD, eng *cluster.Engine) *CoverResult {
 			}
 		}
 		for i, phi := range sigma {
-			if removed[i] && !core.Implies(kept, phi) {
+			if removed[i] && !im.Implies(kept, phi) {
 				kept = append(kept, phi)
 				removed[i] = false
 			}
@@ -269,7 +271,7 @@ func coverNoGrouping(sigma []*core.GFD, eng *cluster.Engine) *CoverResult {
 			rest := make([]*core.GFD, 0, len(kept)-1)
 			rest = append(rest, kept[:i]...)
 			rest = append(rest, kept[i+1:]...)
-			if core.Implies(rest, kept[i]) {
+			if im.Implies(rest, kept[i]) {
 				kept = rest
 				i--
 			}
