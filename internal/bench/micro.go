@@ -118,6 +118,28 @@ func skewWorkload() (graph.View, *match.Table, *pattern.Pattern) {
 	return skewG, skewT1, skewChild
 }
 
+// Closing-hub workload: the skew workload's level-2 table closed by an
+// edge out of the newest variable back to the anchor. The source column
+// (the new variable) barely repeats while the destination column is the
+// grouped hub column, so the kernel groups on the destination and probes
+// hub in-adjacency through the bitset. Built lazily on top of the skew
+// workload.
+var (
+	closingOnce  sync.Once
+	closingT2    *match.Table
+	closingChild *pattern.Pattern
+)
+
+func closingHubWorkload() (graph.View, *match.Table, *pattern.Pattern) {
+	g, t1, child := skewWorkload()
+	closingOnce.Do(func() {
+		closingT2 = match.ExtendRows(g, t1, child)
+		e := child.LastEdge()
+		closingChild = child.ExtendClosingEdge(e.Dst, e.Src, e.Label)
+	})
+	return g, closingT2, closingChild
+}
+
 // SetMicroInput points the micro suite at a graph file (TSV or snapshot,
 // sniffed by magic bytes) instead of the built-in DBpediaSim workload —
 // the gfdbench -in plumbing. It loads and validates the input eagerly so
@@ -309,6 +331,16 @@ func MicroSpecs() []MicroSpec {
 				if match.ExtendRows(g, t1, child).Len() == 0 {
 					b.Fatal("empty skew extension")
 				}
+			}
+		}},
+		{"ExtendRows/closing-hub", func(b *testing.B) {
+			// A closing edge out of the newest variable on the skew graph:
+			// rows grouped on the hub destination, not the source.
+			g, t2, closing := closingHubWorkload()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				match.ExtendRows(g, t2, closing)
 			}
 		}},
 		{"TableSupport", func(b *testing.B) {

@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/eval"
@@ -144,121 +142,48 @@ func (b *SeqBackend) SeedBatch(ps []*pattern.Pattern) []PatOut {
 	return out
 }
 
-// stealMinChunk is the smallest parent-row range worth making a separate
-// stealable unit in ExtendBatch: below it the Slice/merge overhead of a
-// chunk outweighs the balance gain, so smaller parents stay whole.
-const stealMinChunk = 4096
-
-// stealUnit is one unit of the level's work: either a whole child
-// (whole=true) or one parent-row chunk [lo, hi) of a large child.
-type stealUnit struct {
-	child, chunkIdx, lo, hi int
-	whole                   bool
-}
-
 // ExtendBatch implements Backend: the level's incremental joins run
-// concurrently on a GOMAXPROCS-bounded pool of workers pulling from a
-// shared atomic work cursor (each unit only reads the immutable view and
-// its own parent-table rows). Children with large parent tables are split
+// concurrently on a GOMAXPROCS-bounded pool of workers sharing one
+// match.ChunkedExtend. Children with a large estimated output are split
 // into parent-row chunks so one fat pattern — a hub-heavy pivot run —
 // cannot serialise the level behind a single worker: idle workers steal
-// its remaining chunks. The last worker to finish a child's chunks
-// concatenates them in chunk order, which reproduces the unchunked row
-// order exactly (extension emits rows per parent row in order), and the
-// results — including supports, computed inside the workers — are folded
-// into stats and PatOuts in level order afterwards, so the output and
-// every counter are independent of scheduling.
+// its remaining chunks, and the last one gathers them into the child
+// table in chunk order, which reproduces the unchunked row order exactly.
+// The results — including supports, computed inside the workers — are
+// folded into stats and PatOuts in level order afterwards, so the output
+// and every counter are independent of scheduling.
 func (b *SeqBackend) ExtendBatch(parents []Handle, children []*pattern.Pattern) []PatOut {
 	type ext struct {
 		t       *match.Table
 		support int
 	}
 	exts := make([]ext, len(children))
-	finish := func(i int, t *match.Table) {
-		sup := 0
-		if b.maxRows <= 0 || t.Len() <= b.maxRows {
-			sup = t.Support()
-		}
-		exts[i] = ext{t: t, support: sup}
-	}
 	workers := min(runtime.GOMAXPROCS(0), len(children))
-	if workers <= 1 {
-		for i := range children {
-			finish(i, match.ExtendRows(b.v, parents[i].(*seqHandle).table, children[i]))
-		}
-	} else {
-		var units []stealUnit
-		chunkTabs := make([][]*match.Table, len(children))
-		remaining := make([]atomic.Int32, len(children))
-		for i := range children {
-			pt := parents[i].(*seqHandle).table
-			rows := pt.Len()
-			// Chunk on estimated output, not input: a hub parent with few
-			// rows but huge fan-out is exactly the child that serialises a
-			// level when it stays whole. Never chunk less than the row rule
-			// would — the estimate only adds parallelism.
-			cost := max(rows, match.EstimateExtendRows(b.v, pt, children[i]))
-			n := 1
-			if cost >= 2*stealMinChunk {
-				n = min(min(2*workers, cost/stealMinChunk), rows)
-				n = max(n, 1)
-			}
-			if n == 1 {
-				units = append(units, stealUnit{child: i, whole: true})
-			} else {
-				size := (rows + n - 1) / n
-				c := 0
-				for lo := 0; lo < rows; lo += size {
-					units = append(units, stealUnit{child: i, chunkIdx: c, lo: lo, hi: min(lo+size, rows)})
-					c++
-				}
-				n = c
-			}
-			chunkTabs[i] = make([]*match.Table, n)
-			remaining[i].Store(int32(n))
-		}
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		for k := 0; k < workers; k++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					u := int(cursor.Add(1)) - 1
-					if u >= len(units) {
-						return
-					}
-					unit := units[u]
-					pt := parents[unit.child].(*seqHandle).table
-					var start time.Time
-					if !unit.whole {
-						pt = pt.Slice(unit.lo, unit.hi)
-						start = time.Now()
-					}
-					chunkTabs[unit.child][unit.chunkIdx] = match.ExtendRows(b.v, pt, children[unit.child])
-					if !unit.whole {
-						mStealChunks.Inc()
-						hStealChunk.ObserveSince(start)
-					}
-					if remaining[unit.child].Add(-1) != 0 {
-						continue
-					}
-					// Last chunk of this child: every other chunk's write
-					// happens-before its decrement, so the merge sees them all.
-					tabs := chunkTabs[unit.child]
-					full := tabs[0]
-					if len(tabs) > 1 {
-						full = match.NewTable(children[unit.child])
-						for _, ct := range tabs {
-							full.AppendRows(ct, 0, ct.Len())
-						}
-					}
-					finish(unit.child, full)
-				}
-			}()
-		}
-		wg.Wait()
+	maxChunks := 1 // one worker: nothing to steal, so never split
+	if workers > 1 {
+		maxChunks = 2 * workers
 	}
+	batch := match.NewChunkedExtend(mStealChunks, hStealChunk)
+	views := []graph.View{b.v}
+	for i, child := range children {
+		batch.Add(b.v, views, parents[i].(*seqHandle).table, child, maxChunks, func(t *match.Table) {
+			sup := 0
+			if b.maxRows <= 0 || t.Len() <= b.maxRows {
+				sup = t.Support()
+			}
+			exts[i] = ext{t: t, support: sup}
+		})
+	}
+	var wg sync.WaitGroup
+	for k := 1; k < workers; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			batch.Work()
+		}()
+	}
+	batch.Work()
+	wg.Wait()
 
 	out := make([]PatOut, len(children))
 	for i, e := range exts {

@@ -11,7 +11,7 @@ import (
 )
 
 // hubBipartite builds a dense bipartite graph whose single-edge table has
-// more than 2×stealMinChunk rows, forcing ExtendBatch's chunk-splitting
+// more than 2×match.StealMinChunk rows, forcing ExtendBatch's chunk-splitting
 // path: 100 a-nodes fully connected to 100 b-nodes ("e", 10k rows), a
 // sparse "f" fan-out to a few c-nodes for cheap extensions.
 func hubBipartite() *graph.Graph {
@@ -57,7 +57,7 @@ func tableRowsEqual(t *testing.T, got, want *match.Table) {
 
 // TestConcurrentExtendBatchStealingChunks drives ExtendBatch with a parent
 // table large enough to be split into stealable chunks (10k rows >
-// 2×stealMinChunk) next to small children, and checks every output table
+// 2×match.StealMinChunk) next to small children, and checks every output table
 // byte-identical to a direct single-threaded match.ExtendRows — chunk
 // merge order must reproduce the unchunked row order exactly. The CI race
 // job runs this under -race, which also checks the cursor/merge fences.
@@ -75,7 +75,7 @@ func TestConcurrentExtendBatchStealingChunks(t *testing.T) {
 		prev := runtime.GOMAXPROCS(procs)
 		b := NewSeqBackend(g, 0, nil)
 		t1 := match.EdgeMatches(g, parent, nil)
-		if t1.Len() <= 2*stealMinChunk {
+		if t1.Len() <= 2*match.StealMinChunk {
 			runtime.GOMAXPROCS(prev)
 			t.Fatalf("parent table too small to exercise chunking: %d rows", t1.Len())
 		}

@@ -2,6 +2,7 @@ package match
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/pattern"
@@ -9,10 +10,11 @@ import (
 
 // This file is the incremental join Q(t) ⋈ e(F) of Section 6.2: one
 // batched kernel, extendIndexedViews, behind every entry point. The
-// kernel emits an IndexedExt — which parent rows extend, and with which
-// new node — and the entry points differ only in what they do with it:
-// ExtendIndexed ships it (a fragment server's share), ExtendRows and
-// ExtendRowsViews gather it into the child table.
+// kernel appends to a pooled Share (share.go) — which parent rows extend,
+// and with which new node — and the entry points differ only in what they
+// do with it: ExtendShare and ExtendIndexed hand it out (a fragment
+// server's share), ExtendRows, ExtendRowsViews and ChunkedExtend gather
+// it into the child table.
 //
 // The kernel is organised around runs of equal-anchor rows. Parent
 // tables arrive with the anchor column grouped (extension emits rows per
@@ -83,31 +85,54 @@ func gatherCandidates(scratch []graph.NodeID, views []graph.View, store graph.Vi
 // appendRepeat appends n copies of v to dst: the bulk row-index emission
 // of the collision-free fast path.
 func appendRepeat[T any](dst []T, v T, n int) []T {
-	for ; n > 0; n-- {
-		dst = append(dst, v)
+	dst = slices.Grow(dst, n)
+	s := dst[len(dst) : len(dst)+n]
+	for i := range s {
+		s[i] = v
 	}
-	return dst
+	return dst[:len(dst)+n]
 }
 
-// ExtendIndexed computes one view's share of the indexed join locally:
-// the implementation behind BatchExtender. The fragment server runs
-// exactly this against its own snapshot; the merge path runs it for local
-// views standing next to remote ones.
+// runCounts returns the number of maximal runs of equal values in each
+// of two equal-length columns, in one pass over both.
+func runCounts(a, b []graph.NodeID) (na, nb int) {
+	if len(a) == 0 {
+		return 0, 0
+	}
+	na, nb = 1, 1
+	b = b[:len(a)]
+	for i := 1; i < len(a); i++ {
+		if a[i] != a[i-1] {
+			na++
+		}
+		if b[i] != b[i-1] {
+			nb++
+		}
+	}
+	return na, nb
+}
+
+// ExtendIndexed computes one view's share of the indexed join locally,
+// into caller-owned exact-size slices: the implementation behind
+// BatchExtender. The fragment server runs the same kernel against its own
+// snapshot through ExtendShare; the client's failover paths run this.
 func ExtendIndexed(g graph.View, t *Table, child *pattern.Pattern) IndexedExt {
-	mExtendIndexed.Inc()
-	return extendIndexedViews([]graph.View{g}, t, child)
+	sh := ExtendShare(g, t, child)
+	ext := sh.clone()
+	sh.Release()
+	return ext
 }
 
-// extendIndexedViews is the join body. The candidate edges come from
-// views, edge-disjoint views over one shared node store: a worker's own
+// extendIndexedViews is the join body: it appends the share of the join
+// of t by child's last edge to sh. The candidate edges come from views,
+// edge-disjoint views over one shared node store: a worker's own
 // fragment plus the received e(F_t) of every other fragment, or a single
 // view. For a new-variable child, a parent row's extensions are listed
 // view by view; a closing-edge row is kept once if any view holds a
 // qualifying edge, so wildcard closing edges never duplicate rows.
-func extendIndexedViews(views []graph.View, t *Table, child *pattern.Pattern) IndexedExt {
-	var ext IndexedExt
+func extendIndexedViews(sh *Share, views []graph.View, t *Table, child *pattern.Pattern) {
 	if t == nil {
-		return ext
+		return
 	}
 	// Labels and node structure are shared by every view (one node store,
 	// one symbol table), so the new edge's label resolves once against the
@@ -116,7 +141,7 @@ func extendIndexedViews(views []graph.View, t *Table, child *pattern.Pattern) In
 	e := child.LastEdge()
 	elabel, eok := resolveLabel(store, e.Label)
 	if !eok {
-		return ext
+		return
 	}
 	pn := t.P.N()
 	switch child.N() {
@@ -129,45 +154,29 @@ func extendIndexedViews(views []graph.View, t *Table, child *pattern.Pattern) In
 			for r := range srcCol {
 				for _, v := range views {
 					if v.HasEdgeID(srcCol[r], dstCol[r], elabel) {
-						ext.ParentRows = append(ext.ParentRows, uint32(r))
+						sh.ParentRows = append(sh.ParentRows, uint32(r))
 						break
 					}
 				}
 			}
-			return ext
+			return
 		}
-		// Concrete label: resolve each view's adjacency run once per run of
-		// equal sources; the per-row work is one binary search per view.
-		var small [4][]graph.NodeID
-		neigh := small[:]
-		if len(views) > len(small) {
-			neigh = make([][]graph.NodeID, len(views))
-		}
-		neigh = neigh[:len(views)]
-		for lo := 0; lo < len(srcCol); {
-			src := srcCol[lo]
-			hi := lo + 1
-			for hi < len(srcCol) && srcCol[hi] == src {
-				hi++
-			}
-			for i, v := range views {
-				neigh[i] = v.OutTo(src, elabel)
-			}
-			for r := lo; r < hi; r++ {
-				for _, ns := range neigh {
-					if graph.ContainsNode(ns, dstCol[r]) {
-						ext.ParentRows = append(ext.ParentRows, uint32(r))
-						break
-					}
-				}
-			}
-			lo = hi
+		// Concrete label: group rows on whichever endpoint column repeats
+		// more. Grouping on the source resolves OutTo once per source run
+		// and probes it with each row's destination; grouping on the
+		// destination resolves InFrom once per destination run and probes
+		// it with each row's source. Either way rows are visited in order,
+		// so the surviving rows stay ascending.
+		if srcRuns, dstRuns := runCounts(srcCol, dstCol); dstRuns < srcRuns {
+			filterClosing(sh, views, dstCol, srcCol, elabel, false)
+		} else {
+			filterClosing(sh, views, srcCol, dstCol, elabel, true)
 		}
 	case pn + 1:
 		nv := pn
 		newLabel, nok := resolveLabel(store, child.NodeLabels[nv])
 		if !nok {
-			return ext
+			return
 		}
 		outgoing := e.Src != nv // true: bound -> new
 		anchorVar := e.Src
@@ -177,6 +186,7 @@ func extendIndexedViews(views []graph.View, t *Table, child *pattern.Pattern) In
 		anchorCol := t.cols[anchorVar]
 		rows := len(anchorCol)
 		cols := t.cols[:pn]
+		ext := sh.IndexedExt
 		// emit1 is the unbatched per-row path: candidates straight off the
 		// CSR slice, label and injectivity checks inline, no materialisation.
 		// Runs of length one (an ungrouped anchor column) take it — there is
@@ -200,7 +210,7 @@ func extendIndexedViews(views []graph.View, t *Table, child *pattern.Pattern) In
 				ext.NewCol = append(ext.NewCol, cand)
 			}
 		}
-		var scratch []graph.NodeID
+		scratch := sh.cands
 		for lo := 0; lo < rows; {
 			anchor := anchorCol[lo]
 			hi := lo + 1
@@ -279,49 +289,79 @@ func extendIndexedViews(views []graph.View, t *Table, child *pattern.Pattern) In
 			}
 			lo = hi
 		}
+		sh.IndexedExt = ext
+		sh.cands = scratch
 	default:
 		panic(fmt.Sprintf("match: extend: child has %d vars, parent %d", child.N(), pn))
 	}
-	return ext
 }
 
-// extendRowsViews is ExtendRows/ExtendRowsViews: the join's share list
-// gathered into the child table. A view that computes its own share (a
-// remote fragment) switches the call to the index-merge path.
-func extendRowsViews(views []graph.View, t *Table, child *pattern.Pattern) *Table {
-	var ext IndexedExt
-	if hasBatchExtender(views) {
-		ext = extendIndexedMerge(views, t, child)
-	} else {
-		ext = extendIndexedViews(views, t, child)
+// filterClosing keeps the rows r whose probeCol[r] is adjacent to
+// keyCol[r] under elabel in some view — out of keyCol[r] when outgoing,
+// into it otherwise. Adjacency resolves once per run of equal keys. A run
+// long enough relative to its adjacency (bitsetProbe) marks the adjacency
+// in sh's NodeID bitset and tests each row in O(1), then unmarks it, so
+// the bitset is never cleared wholesale; shorter runs binary-search the
+// ascending adjacency per row.
+func filterClosing(sh *Share, views []graph.View, keyCol, probeCol []graph.NodeID, elabel graph.LabelID, outgoing bool) {
+	neigh := sh.neigh[:0]
+	for range views {
+		neigh = append(neigh, nil)
 	}
-	out := gatherRows(t, child, ext)
-	mExtendCalls.Inc()
-	mExtendRows.Add(int64(out.Len()))
-	return out
-}
-
-// gatherRows materialises a join share as the child table: each parent
-// column is read through ext.ParentRows into an exact-size column (all
-// sharing one allocation), and ext.NewCol becomes the new variable's
-// column as-is.
-func gatherRows(t *Table, child *pattern.Pattern, ext IndexedExt) *Table {
-	out := NewTable(child)
-	n := len(ext.ParentRows)
-	if t == nil || n == 0 {
-		return out
-	}
-	pn := len(t.cols)
-	buf := make([]graph.NodeID, n*pn)
-	for v, col := range t.cols {
-		dst := buf[v*n : (v+1)*n : (v+1)*n]
-		for i, r := range ext.ParentRows {
-			dst[i] = col[r]
+	sh.neigh = neigh
+	for lo := 0; lo < len(keyCol); {
+		key := keyCol[lo]
+		hi := lo + 1
+		for hi < len(keyCol) && keyCol[hi] == key {
+			hi++
 		}
-		out.cols[v] = dst
+		deg := 0
+		for i, v := range views {
+			if outgoing {
+				neigh[i] = v.OutTo(key, elabel)
+			} else {
+				neigh[i] = v.InFrom(key, elabel)
+			}
+			deg += len(neigh[i])
+		}
+		switch {
+		case deg == 0:
+		case bitsetProbe(hi-lo, deg):
+			mark := sh.marks(views[0].NumNodes())
+			for _, ns := range neigh {
+				for _, x := range ns {
+					mark.Set(int(x))
+				}
+			}
+			for r := lo; r < hi; r++ {
+				if mark.Get(int(probeCol[r])) {
+					sh.ParentRows = append(sh.ParentRows, uint32(r))
+				}
+			}
+			for _, ns := range neigh {
+				for _, x := range ns {
+					mark.Clear(int(x))
+				}
+			}
+		default:
+			for r := lo; r < hi; r++ {
+				for _, ns := range neigh {
+					if graph.ContainsNode(ns, probeCol[r]) {
+						sh.ParentRows = append(sh.ParentRows, uint32(r))
+						break
+					}
+				}
+			}
+		}
+		lo = hi
 	}
-	if child.N() > pn {
-		out.cols[pn] = ext.NewCol
-	}
+}
+
+// extendRowsViews is ExtendRows/ExtendRowsViews: the join's share gathered
+// into the child table.
+func extendRowsViews(views []graph.View, t *Table, child *pattern.Pattern) *Table {
+	sh := computeShare(views, t, child)
+	out := gatherShares(t, child, []*Share{sh}, []int{0})
+	sh.Release()
 	return out
 }

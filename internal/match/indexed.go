@@ -2,6 +2,7 @@ package match
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/graph"
@@ -66,19 +67,21 @@ func hasBatchExtender(views []graph.View) bool {
 }
 
 // extendIndexedMerge is the join over a view mix that includes at least
-// one BatchExtender. Each view produces its own IndexedExt — remotely or
-// via ExtendIndexed — and the shares are merged per parent row in view
-// order into the one IndexedExt extendIndexedViews would have built over
-// the same views: for every parent row, view 0's extensions precede view
-// 1's, and a closing-edge row is kept once no matter how many views
-// witness the edge. Share entries naming rows outside t are never
-// consumed, so a malformed remote share cannot index past t.
-func extendIndexedMerge(views []graph.View, t *Table, child *pattern.Pattern) IndexedExt {
-	var out IndexedExt
+// one BatchExtender. Each view produces its own share — remotely, or into
+// a pooled Share for a local view — and the shares are merged per parent
+// row in view order into out, the share extendIndexedViews would have
+// built over the same views: for every parent row, view 0's extensions
+// precede view 1's, and a closing-edge row is kept once no matter how
+// many views witness the edge. out is presized from the sum of the
+// per-view share lengths, so the merge never regrows it. Share entries
+// naming rows outside t are never consumed, so a malformed remote share
+// cannot index past t.
+func extendIndexedMerge(out *Share, views []graph.View, t *Table, child *pattern.Pattern) {
 	if t == nil {
-		return out
+		return
 	}
 	exts := make([]IndexedExt, len(views))
+	locals := make([]*Share, len(views))
 	// Self-computing views are network-bound (remote fragments): fan their
 	// shares out concurrently so the round trips pipeline over each
 	// fragment's multiplexed connection, and compute the local shares
@@ -98,11 +101,20 @@ func extendIndexedMerge(views []graph.View, t *Table, child *pattern.Pattern) In
 	}
 	for i, v := range views {
 		if _, ok := v.(BatchExtender); !ok {
-			exts[i] = ExtendIndexed(v, t, child)
+			locals[i] = ExtendShare(v, t, child)
+			exts[i] = locals[i].IndexedExt
 		}
 	}
 	pipelined.Wait()
 	closing := child.N() == t.P.N()
+	total := 0
+	for _, ext := range exts {
+		total += len(ext.ParentRows)
+	}
+	out.ParentRows = slices.Grow(out.ParentRows[:0], total)
+	if !closing {
+		out.NewCol = slices.Grow(out.NewCol[:0], total)
+	}
 	rows := t.Len()
 	cur := make([]int, len(exts))
 	for r := 0; r < rows; r++ {
@@ -122,5 +134,7 @@ func extendIndexedMerge(views []graph.View, t *Table, child *pattern.Pattern) In
 			out.ParentRows = append(out.ParentRows, uint32(r))
 		}
 	}
-	return out
+	for _, sh := range locals {
+		sh.Release()
+	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -404,100 +403,38 @@ func (b *Backend) extendBatchFinish(hs []*parHandle) []discovery.PatOut {
 	return out
 }
 
-// stealMinChunk is the smallest parent-row range worth carving into a
-// separate stealable unit; smaller parts stay whole (mirrors the
-// sequential backend's chunk policy).
-const stealMinChunk = 4096
-
-// extendBatchStealing runs the extend superstep with a shared atomic work
-// cursor: the level's (child, owner-part) joins are pre-split into
-// parent-row chunk units, and every worker — after charging its own
-// declared communication share — pulls units off the cursor regardless of
-// owner, so workers finishing their own fragment's share early steal the
-// remaining chunks of a skewed one. Each unit joins the owner's rows
-// against the owner's view order (b.workerViews[owner]), and the last
-// worker to finish an (i, owner) slot concatenates its chunks in chunk
-// order, so hs[i].parts[owner] is byte-identical to what the static
-// superstep produces.
+// extendBatchStealing runs the extend superstep on one shared
+// match.ChunkedExtend: the level's (child, owner-part) joins are split
+// into parent-row chunk units, and every worker — after charging its own
+// declared communication share — pulls units off the shared cursor
+// regardless of owner, so workers finishing their own fragment's share
+// early steal the remaining chunks of a skewed one. Each unit joins the
+// owner's rows against the owner's view order (b.workerViews[owner]), and
+// the worker finishing an (i, owner) slot's last chunk gathers its
+// chunks in chunk order, so hs[i].parts[owner] is byte-identical to what
+// the static superstep produces.
 func (b *Backend) extendBatchStealing(parents []discovery.Handle, children []*pattern.Pattern, hs []*parHandle, eBytes []int64) {
 	n := b.n()
-	type unit struct {
-		child, owner, chunkIdx, lo, hi int
-		whole                          bool
-	}
-	var units []unit
-	chunkTabs := make([][]*match.Table, len(children)*n)
-	remaining := make([]atomic.Int32, len(children)*n)
-	for i := range children {
+	batch := match.NewChunkedExtend(mStealChunks, hStealChunk)
+	for i, child := range children {
 		ph := parents[i].(*parHandle)
 		if ph.parts == nil {
 			continue
 		}
 		for o := 0; o < n; o++ {
-			rows := ph.parts[o].Len()
-			// Chunk on estimated output, not input (see the sequential
-			// backend): a hub-heavy part with few rows and huge fan-out
-			// must not stay whole. The estimate never reduces chunking.
-			cost := max(rows, match.EstimateExtendRows(b.g, ph.parts[o], children[i]))
-			k := 1
-			if cost >= 2*stealMinChunk {
-				k = min(min(2*n, cost/stealMinChunk), rows)
-				k = max(k, 1)
-			}
-			slot := i*n + o
-			if k == 1 {
-				units = append(units, unit{child: i, owner: o, whole: true})
-			} else {
-				size := (rows + k - 1) / k
-				c := 0
-				for lo := 0; lo < rows; lo += size {
-					units = append(units, unit{child: i, owner: o, chunkIdx: c, lo: lo, hi: min(lo+size, rows)})
-					c++
-				}
-				k = c
-			}
-			chunkTabs[slot] = make([]*match.Table, k)
-			remaining[slot].Store(int32(k))
+			// Chunks follow estimated output over the whole graph: a
+			// hub-heavy part with few rows and huge fan-out must not stay
+			// whole.
+			batch.Add(b.g, b.workerViews[o], ph.parts[o], child, 2*n, func(t *match.Table) {
+				hs[i].parts[o] = t
+			})
 		}
 	}
-	var cursor atomic.Int64
 	b.eng.Superstep("extend level", func(w int) {
 		for i := range children {
 			b.eng.Ship(w, eBytes[i]/int64(n)*b.localOthers[w])
 		}
-		for {
-			u := int(cursor.Add(1)) - 1
-			if u >= len(units) {
-				return
-			}
-			ut := units[u]
-			pt := parents[ut.child].(*parHandle).parts[ut.owner]
-			var start time.Time
-			if !ut.whole {
-				pt = pt.Slice(ut.lo, ut.hi)
-				start = time.Now()
-			}
-			slot := ut.child*n + ut.owner
-			chunkTabs[slot][ut.chunkIdx] = match.ExtendRowsViews(b.workerViews[ut.owner], pt, children[ut.child])
-			if !ut.whole {
-				mStealChunks.Inc()
-				hStealChunk.ObserveSince(start)
-			}
-			if remaining[slot].Add(-1) != 0 {
-				continue
-			}
-			// Last chunk of this slot: every other chunk's write
-			// happens-before its decrement, so the merge sees them all.
-			tabs := chunkTabs[slot]
-			full := tabs[0]
-			if len(tabs) > 1 {
-				full = match.NewTable(children[ut.child])
-				for _, ct := range tabs {
-					full.AppendRows(ct, 0, ct.Len())
-				}
-			}
-			hs[ut.child].parts[ut.owner] = full
-		}
+		batch.Work()
 	})
 }
 

@@ -528,7 +528,8 @@ func checkExtendShape(n, nv int, e pattern.Edge) error {
 }
 
 func encodeExtendOK(ext match.IndexedExt) []byte {
-	var w wbuf
+	// Sized up front: two length words, the flag and both columns.
+	w := wbuf{b: make([]byte, 0, 12+4*(len(ext.ParentRows)+len(ext.NewCol)))}
 	wU32s(&w, ext.ParentRows)
 	if ext.NewCol == nil {
 		w.u32(0)

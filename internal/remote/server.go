@@ -239,7 +239,8 @@ func (s *Server) hello() []byte {
 }
 
 // extend is the hot handler: decode the row-table batch, run this
-// fragment's share of the join against the mmap, frame the share back.
+// fragment's share of the join against the mmap into a pooled share,
+// frame it back and return the share to the pool.
 func (s *Server) extend(payload []byte) (uint32, []byte, error) {
 	t, child, err := decodeExtend(payload)
 	if err != nil {
@@ -252,8 +253,10 @@ func (s *Server) extend(payload []byte) (uint32, []byte, error) {
 			}
 		}
 	}
-	ext := match.ExtendIndexed(s.m, t, child)
-	return msgExtendOK, encodeExtendOK(ext), nil
+	sh := match.ExtendShare(s.m, t, child)
+	resp := encodeExtendOK(sh.Ext())
+	sh.Release()
+	return msgExtendOK, resp, nil
 }
 
 // sections ships the fragment's snapshot — the same bytes Spill wrote,
